@@ -1,9 +1,10 @@
 """The solver fast path: solve memoization and degenerate dispatch.
 
-Plain :func:`repro.ilp.solver.solve` remains the executable specification;
-:func:`solve_fast` is the entry point the repair pipeline actually calls.
-It layers three accelerations on top of the spec, each of which is
-objective-identical to it by construction:
+Plain branch-and-bound, :func:`repro.ilp.solver.solve` (node-identical to
+the executable specification :func:`repro.ilp.reference.solve_reference`),
+is the baseline; :func:`solve_fast` is the entry point the repair pipeline
+actually calls.  It layers three accelerations on top of the plain solver,
+each of which is objective-identical to it by construction:
 
 1. **Memoization** (:class:`SolveCache`).  Problems are keyed by the
    canonical fingerprint of :func:`repro.ilp.structure.problem_fingerprint`
@@ -189,7 +190,7 @@ def solve_fast(
     Raises:
         InfeasibleError: Proven infeasibility (always), or unproven
             (node-limit truncation with no incumbent) when no
-            ``upper_bound`` was supplied — mirroring the spec solver.
+            ``upper_bound`` was supplied — mirroring the plain solver.
     """
     key: tuple | None = None
     if cache is not None:

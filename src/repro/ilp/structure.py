@@ -26,7 +26,7 @@ emits motivate this module:
 
 Any problem that does not match the degenerate shape is declined
 (``analyze_assignment_form`` returns ``None``) and falls back to the
-branch-and-bound spec solver; :func:`repro.ilp.fastpath.solve_fast` wires
+plain branch-and-bound solver; :func:`repro.ilp.fastpath.solve_fast` wires
 the dispatch together.
 """
 

@@ -2,7 +2,7 @@
 and warm starts (``repro.ilp.fastpath`` / ``repro.ilp.structure``).
 
 The contract under test everywhere: :func:`repro.ilp.solve_fast` is
-*objective-identical* to the spec solver :func:`repro.ilp.solver.solve` —
+*objective-identical* to the plain solver :func:`repro.ilp.solver.solve` —
 on optimal solves, on infeasible problems and under node limits — and the
 repair pipeline produces field-identical outcomes whether or not the
 :class:`repro.ilp.SolveCache` memo is enabled."""
@@ -17,6 +17,11 @@ import pytest
 from helpers.differential import (
     assert_outcomes_field_identical,
     assert_repairs_field_identical,
+)
+from helpers.ilp_problems import (
+    hard_feasible_problem,
+    random_assignment_problem,
+    random_def55_problem,
 )
 
 from repro.core.clustering import cluster_programs
@@ -37,60 +42,6 @@ from repro.ilp import (
 )
 
 SEED = 20180618
-
-
-# -- random problem generators (Def. 5.5 shaped) --------------------------------------
-
-
-def _random_def55_problem(rng: random.Random) -> IlpProblem:
-    """Choice groups + implications + arbitrary-sense rows, arbitrary costs."""
-    n = rng.randint(2, 7)
-    problem = IlpProblem(minimize=rng.random() < 0.8)
-    variables = [f"v{i}" for i in range(n)]
-    for var in variables:
-        problem.add_variable(var, objective=float(rng.randint(-4, 6)))
-    for _ in range(rng.randint(1, 3)):
-        problem.add_exactly_one(rng.sample(variables, rng.randint(1, n)))
-    for _ in range(rng.randint(0, 2)):
-        antecedent, consequent = rng.sample(variables, 2)
-        problem.add_implication(antecedent, consequent)
-    for _ in range(rng.randint(0, 2)):
-        subset = rng.sample(variables, rng.randint(1, n))
-        sense = rng.choice(["==", ">=", "<="])
-        problem.add_constraint(
-            {v: 1.0 for v in subset}, sense, float(rng.randint(0, len(subset)))
-        )
-    return problem
-
-
-def _random_assignment_problem(rng: random.Random) -> IlpProblem:
-    """Row/column exactly-one groups: assignment-degenerate by construction.
-
-    Rows and columns may differ in size and slack variables appear only
-    sometimes, so a fraction of the generated problems is (provenly)
-    infeasible — no perfect matching pads the smaller side."""
-    rows, cols = rng.randint(1, 3), rng.randint(1, 3)
-    problem = IlpProblem()
-    for i in range(rows):
-        for j in range(cols):
-            problem.add_variable(f"x{i}{j}", objective=float(rng.randint(-3, 9)))
-    for i in range(rows):
-        members = [f"x{i}{j}" for j in range(cols)]
-        if rng.random() < 0.5:
-            members.append(
-                problem.add_variable(f"rs{i}", objective=float(rng.randint(0, 9)))
-            )
-        problem.add_exactly_one(members)
-    for j in range(cols):
-        members = [f"x{i}{j}" for i in range(rows)]
-        if rng.random() < 0.5:
-            members.append(
-                problem.add_variable(f"cs{j}", objective=float(rng.randint(0, 9)))
-            )
-        problem.add_exactly_one(members)
-    for k in range(rng.randint(0, 2)):
-        problem.add_variable(f"free{k}", objective=float(rng.randint(-3, 3)))
-    return problem
 
 
 def _brute_force(problem: IlpProblem) -> float | None:
@@ -152,7 +103,7 @@ def test_min_cost_matching_detects_impossible_instances():
 def test_solve_fast_objective_identical_on_def55_problems():
     rng = random.Random(SEED)
     for trial in range(150):
-        problem = _random_def55_problem(rng)
+        problem = random_def55_problem(rng)
         cache = SolveCache()
         fast = _objective_or_none(problem, cache=cache)
         try:
@@ -173,7 +124,7 @@ def test_degenerate_dispatch_is_exact_and_explores_no_nodes():
     rng = random.Random(SEED)
     dispatched = infeasible = 0
     for trial in range(150):
-        problem = _random_assignment_problem(rng)
+        problem = random_assignment_problem(rng)
         assert analyze_assignment_form(problem) is not None, trial
         cache = SolveCache()
         fast = _objective_or_none(problem, cache=cache)
@@ -198,7 +149,7 @@ def test_degenerate_dispatch_is_exact_and_explores_no_nodes():
 def test_solutions_returned_by_degenerate_dispatch_are_feasible():
     rng = random.Random(SEED + 1)
     for _ in range(80):
-        problem = _random_assignment_problem(rng)
+        problem = random_assignment_problem(rng)
         try:
             solution = solve_fast(problem)
         except InfeasibleError:
@@ -239,7 +190,7 @@ def test_odd_group_cycles_decline_the_degenerate_form():
 def test_fingerprint_is_insensitive_to_construction_order():
     rng = random.Random(SEED)
     for _ in range(30):
-        problem = _random_def55_problem(rng)
+        problem = random_def55_problem(rng)
         shuffled = IlpProblem(minimize=problem.minimize)
         for var in sorted(problem.variables, key=lambda v: rng.random()):
             shuffled.add_variable(var, objective=problem.objective.get(var, 0.0))
@@ -285,22 +236,8 @@ def test_fingerprint_distinguishes_different_problems():
 # -- node limits (boundary regression) and what may be cached -------------------------
 
 
-def _hard_feasible_problem() -> IlpProblem:
-    """Small but branchy: overlapping groups, implications, a packing row."""
-    problem = IlpProblem()
-    costs = {"a": 3.0, "b": 2.0, "c": 5.0, "d": 1.0, "e": 4.0, "f": 2.0}
-    for var, cost in costs.items():
-        problem.add_variable(var, objective=cost)
-    problem.add_exactly_one(["a", "b", "c"])
-    problem.add_exactly_one(["c", "d", "e"])
-    problem.add_exactly_one(["e", "f", "a"])
-    problem.add_implication("d", "f")
-    problem.add_constraint({"b": 1.0, "d": 1.0, "f": 1.0}, "<=", 2.0)
-    return problem
-
-
 def test_node_limit_boundary_always_returns_incumbent_or_unproven():
-    problem = _hard_feasible_problem()
+    problem = hard_feasible_problem()
     reference = solve(problem)
     assert reference.optimal
     full_nodes = reference.nodes_explored
@@ -346,7 +283,7 @@ def test_infeasible_error_is_unproven_under_truncation():
 
 
 def test_truncated_incumbents_are_not_cached():
-    problem = _hard_feasible_problem()
+    problem = hard_feasible_problem()
     full_nodes = solve(problem).nodes_explored
     cache = SolveCache()
     truncated = None
@@ -406,7 +343,7 @@ def test_warm_start_returns_the_cold_solution_when_it_beats_the_bound():
     rng = random.Random(SEED)
     strict_prunes = 0
     for trial in range(100):
-        problem = _random_def55_problem(rng)
+        problem = random_def55_problem(rng)
         try:
             cold = solve(problem)
         except InfeasibleError:
@@ -429,7 +366,7 @@ def test_warm_start_returns_the_cold_solution_when_it_beats_the_bound():
 
 
 def test_warm_start_applies_to_memoized_solutions():
-    problem = _hard_feasible_problem()
+    problem = hard_feasible_problem()
     cache = SolveCache()
     exact = solve_fast(problem, cache=cache)
     assert solve_fast(problem, cache=cache, upper_bound=exact.objective) is None
@@ -457,7 +394,7 @@ def test_repair_caches_own_a_solve_cache():
     assert caches.solve.enabled
     assert RepairCaches(enabled=False).solve.enabled is False
 
-    problem = _hard_feasible_problem()
+    problem = hard_feasible_problem()
     solve_fast(problem, cache=caches.solve)
     assert caches.entry_counts()["solves"] == 1
     caches.clear()
@@ -468,7 +405,7 @@ def test_repair_caches_own_a_solve_cache():
 
 def test_disabled_solve_cache_counts_misses_and_stores_nothing():
     cache = SolveCache(enabled=False)
-    problem = _hard_feasible_problem()
+    problem = hard_feasible_problem()
     first = solve_fast(problem, cache=cache)
     second = solve_fast(problem, cache=cache)
     assert first.objective == second.objective
