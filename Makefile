@@ -19,9 +19,9 @@ batch-parallel-smoke:
 	$(PYTHON) tools/parallel_smoke.py
 
 lint:
-	$(PYTHON) -m compileall -q src tests benchmarks examples
+	$(PYTHON) -m compileall -q src tests benchmarks examples tools
 	@if $(PYTHON) -c "import ruff" 2>/dev/null || command -v ruff >/dev/null 2>&1; then \
-		ruff check src tests benchmarks examples; \
+		ruff check src tests benchmarks examples tools; \
 	else \
 		echo "ruff not installed; bytecode compile check only (CI runs ruff)"; \
 	fi

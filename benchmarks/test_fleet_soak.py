@@ -138,7 +138,7 @@ def test_fleet_soak(benchmark, results_dir, local_results_dir, tmp_path):
             "problems": fleet._shard_problems[shard],
             "incarnation": supervisor.incarnation,
             "state": supervisor.state,
-            "counters": dict(sorted(supervisor.counters.items())),
+            "counters": supervisor.counters.as_dict(),
         }
         for shard, supervisor in enumerate(fleet.supervisors)
     }

@@ -27,6 +27,7 @@ from repro.core.profile import PhaseProfiler
 from repro.datasets import generate_corpus, get_problem
 from repro.engine import BatchAttempt, BatchRepairEngine, ProcessBatchEngine
 from repro.engine.cache import RepairCaches
+from repro.engine.parallel import COUNTER_SECTIONS, identity_sections
 
 from conftest import bench_scale
 
@@ -67,16 +68,6 @@ def _build_store(tmp_path):
     return problem, path, attempts
 
 
-def _identity_sections(cache_stats, payload):
-    """The four sections whose merged values must equal a single process."""
-    return {
-        "phases": payload["phases"]["counters"],
-        "cache": cache_stats.as_dict(),
-        "retrieval": payload["retrieval"],
-        "store_paging": payload["store_paging"],
-    }
-
-
 def _rows(report):
     return [
         [r.attempt_id, r.status, r.cost, r.relative_size, r.num_modified, r.feedback]
@@ -98,7 +89,7 @@ def test_parallel_batch(benchmark, results_dir, local_results_dir, tmp_path):
     baseline_started = time.perf_counter()
     baseline = engine.run(attempts)
     baseline_time = time.perf_counter() - baseline_started
-    expected_sections = _identity_sections(baseline.cache_stats, clara.counters_payload())
+    expected_sections = identity_sections(clara.counters_payload(), baseline.cache_stats)
     expected_rows = _rows(baseline)
 
     timings = {"single_process": round(baseline_time, 4)}
@@ -113,7 +104,7 @@ def test_parallel_batch(benchmark, results_dir, local_results_dir, tmp_path):
             f"report rows diverged from the single-process run at "
             f"{processes} processes"
         )
-        merged = _identity_sections(report.cache_stats, report.profile)
+        merged = identity_sections(report.profile, report.cache_stats)
         for section in expected_sections:
             same = merged[section] == expected_sections[section]
             identical[section] = identical.get(section, True) and same
@@ -131,7 +122,7 @@ def test_parallel_batch(benchmark, results_dir, local_results_dir, tmp_path):
         "process_counts": list(PROCESS_COUNTS),
         "counters_identical_to_single_process": identical,
         "sections": expected_sections,
-        "summed_only_sections": ["ted", "compile", "solve", "cache_entries"],
+        "summed_only_sections": [s.name for s in COUNTER_SECTIONS if not s.identical],
         "statuses": baseline.status_histogram(),
     }
     (results_dir / "parallel_batch.json").write_text(

@@ -40,6 +40,7 @@ from .clusterstore import (
 from .core.pipeline import Clara
 from .datasets import all_problems, generate_corpus, get_problem
 from .engine import BatchAttempt, BatchRepairEngine
+from .engine.parallel import counter_sections
 from .evalharness import (
     format_failure_breakdown,
     format_table1,
@@ -412,14 +413,7 @@ def _write_batch_profile(args, spec, report, sections) -> Path:
         "attempts": len(report.records),
         "workers": args.workers,
         "processes": args.processes,
-        "phases": sections["phases"],
-        "ted": sections["ted"],
-        "compile": sections["compile"],
-        "solve": sections["solve"],
-        "cache": report.cache_stats.as_dict(),
-        "cache_entries": sections["cache_entries"],
-        "store_paging": sections["store_paging"],
-        "retrieval": sections["retrieval"],
+        **counter_sections(sections, report.cache_stats),
     }
     directory = Path("results") / "local"
     directory.mkdir(parents=True, exist_ok=True)

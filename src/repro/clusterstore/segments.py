@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from ..core.clustering import Cluster
+from ..counters import AGREE, SUM, Counters, difference
 from ..model.program import Program
 from .serialize import SerializationError, decode_cluster, encode_cluster
 
@@ -49,6 +50,7 @@ __all__ = [
     "UNFINGERPRINTED_SEGMENT",
     "SegmentIndexEntry",
     "SegmentPager",
+    "StorePaging",
     "segment_dir",
     "segment_name",
     "skeleton_digest",
@@ -319,6 +321,24 @@ def group_clusters(
     return groups
 
 
+class StorePaging(Counters):
+    """Loaded/skipped paging counters of one store (the ``store_paging`` section).
+
+    Every process-parallel worker opens the same store, so the totals must
+    agree across workers; skeleton sharding pages each segment into exactly
+    one worker, so the summed loads equal the single-process loads, and
+    ``segments_skipped`` is derived from the merged values.
+    """
+
+    FIELDS = {
+        "segments_total": AGREE,
+        "segments_loaded": SUM,
+        "segments_skipped": difference("segments_total", "segments_loaded"),
+        "clusters_total": AGREE,
+        "clusters_loaded": SUM,
+    }
+
+
 class SegmentPager:
     """Lazy, cached read path over one open v3 store's segment files.
 
@@ -389,15 +409,13 @@ class SegmentPager:
         safety: a consistent snapshot taken under the pager lock.
         """
         with self._lock:
-            loaded = len(self._loaded)
-            clusters_loaded = sum(len(found) for found in self._loaded.values())
-            return {
-                "segments_total": len(self._entries),
-                "segments_loaded": loaded,
-                "segments_skipped": len(self._entries) - loaded,
-                "clusters_total": sum(entry.clusters for entry in self._entries),
-                "clusters_loaded": clusters_loaded,
-            }
+            paging = StorePaging(
+                segments_total=len(self._entries),
+                segments_loaded=len(self._loaded),
+                clusters_total=sum(entry.clusters for entry in self._entries),
+                clusters_loaded=sum(len(found) for found in self._loaded.values()),
+            )
+        return paging.as_dict()
 
     # -- lookups (page in on demand) -------------------------------------------
 

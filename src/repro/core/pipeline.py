@@ -394,18 +394,13 @@ StoredClustering`.
     def counters_payload(self) -> dict:
         """All deterministic counter sections of this pipeline, as one dict.
 
-        The single vocabulary shared by ``batch --profile`` (which writes
-        it to ``results/local/batch_profile.json``) and the
-        process-parallel batch workers (which ship it over the pipe so the
-        parent can merge shard payloads by commutative sum,
-        :mod:`repro.engine.parallel`).  Sections: ``phases`` (the attached
-        :class:`~repro.core.profile.PhaseProfiler`, empty when none),
-        ``ted``/``compile``/``solve`` cache counters, ``cache_entries``,
-        ``store_paging`` (``None`` unless a lazy store is attached) and
-        ``retrieval``.  Everything here is deterministic for a fixed
-        sequence of repairs on a single-threaded engine — timings inside
-        ``phases`` are the one machine-dependent part and never leave
-        ``results/local/``.
+        The single vocabulary shared by ``batch --profile`` and the
+        process-parallel batch workers; its sections, and how workers merge
+        each, are listed in :data:`repro.engine.parallel.COUNTER_SECTIONS`.
+        ``phases`` is empty without a profiler and ``store_paging`` is
+        ``None`` without a lazy store.  Everything is deterministic for a
+        fixed sequence of repairs on a single-threaded engine except the
+        phase timings, which never leave ``results/local/``.
         """
         profiler = self.caches.profiler
         return {
@@ -482,9 +477,9 @@ StoredClustering`.
                 break
         if ranked:
             self.caches.retrieval.record(
-                ranked=len(gate_order),
-                attempted=attempted,
-                skipped=skeleton_skipped + (len(gate_order) - attempted),
+                candidates_ranked=len(gate_order),
+                matches_attempted=attempted,
+                matches_skipped=skeleton_skipped + (len(gate_order) - attempted),
                 # The match sat beyond the top-k head: the exact-fallback
                 # tail caught it, exactly as the soundness argument requires.
                 fallbacks=1 if matched and attempted > self.retrieval_top_k else 0,
@@ -573,7 +568,7 @@ StoredClustering`.
             # strictly from the header's persisted vectors (no recompute).
             vectors = self._lazy_clusters.retrieval_vectors()
             if any(cluster.cluster_id not in vectors for cluster in candidates):
-                self.caches.retrieval.record(fallbacks=1)
+                self.caches.retrieval.add("fallbacks")
                 return candidates, candidates, False, 0
             survivors: "Sequence[Cluster]" = candidates
             skipped = 0

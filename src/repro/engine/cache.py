@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, MutableMapping, Sequence
 
 from ..clusterstore.fingerprint import Fingerprint, program_fingerprint
+from ..counters import SUM, Counters, hit_rate
 from ..core.inputs import InputCase, program_traces, trace_passes_case
 from ..core.inputs import is_correct as _is_correct_uncached
 from ..core.matching import structural_match
@@ -104,113 +105,27 @@ def case_set_key(cases: Sequence[InputCase]) -> tuple:
     return tuple(_case_key(case) for case in cases)
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss counters for the three memo tables.
+class CacheStats(Counters):
+    """Hit/miss counters for the three memo tables, with derived hit rates.
 
     ``trace`` counts trace/correctness lookups, ``match`` counts
     structural-match lookups, ``repair`` counts whole-outcome lookups.  A
     lookup with caching disabled counts as a miss, so hit rates remain
-    comparable between cached and uncached runs.
+    comparable between cached and uncached runs.  The owning
+    :class:`RepairCaches` shares its lock with these counters.
     """
 
-    trace_hits: int = 0
-    trace_misses: int = 0
-    match_hits: int = 0
-    match_misses: int = 0
-    repair_hits: int = 0
-    repair_misses: int = 0
-
-    @staticmethod
-    def _rate(hits: int, misses: int) -> float:
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    @property
-    def trace_hit_rate(self) -> float:
-        return self._rate(self.trace_hits, self.trace_misses)
-
-    @property
-    def match_hit_rate(self) -> float:
-        return self._rate(self.match_hits, self.match_misses)
-
-    @property
-    def repair_hit_rate(self) -> float:
-        return self._rate(self.repair_hits, self.repair_misses)
-
-    def as_dict(self) -> dict[str, float]:
-        """Flat dict of all counters and rates, for JSON reports."""
-        return {
-            "trace_hits": self.trace_hits,
-            "trace_misses": self.trace_misses,
-            "trace_hit_rate": self.trace_hit_rate,
-            "match_hits": self.match_hits,
-            "match_misses": self.match_misses,
-            "match_hit_rate": self.match_hit_rate,
-            "repair_hits": self.repair_hits,
-            "repair_misses": self.repair_misses,
-            "repair_hit_rate": self.repair_hit_rate,
-        }
-
-    def snapshot(self) -> "CacheStats":
-        return CacheStats(
-            trace_hits=self.trace_hits,
-            trace_misses=self.trace_misses,
-            match_hits=self.match_hits,
-            match_misses=self.match_misses,
-            repair_hits=self.repair_hits,
-            repair_misses=self.repair_misses,
-        )
-
-    # -- algebra ---------------------------------------------------------------
-
-    _COUNTER_FIELDS = (
-        "trace_hits",
-        "trace_misses",
-        "match_hits",
-        "match_misses",
-        "repair_hits",
-        "repair_misses",
-    )
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "CacheStats":
-        """Rebuild counters from an :meth:`as_dict` payload (rates ignored).
-
-        The hit rates are derived values and are recomputed from the
-        counters, so ``CacheStats.from_dict(stats.as_dict())`` round-trips
-        exactly; this is how per-worker cache deltas cross the process
-        boundary in :mod:`repro.engine.parallel`.
-        """
-        return cls(**{name: int(payload.get(name, 0)) for name in cls._COUNTER_FIELDS})
-
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        """Return a new snapshot with both operands' counters summed.
-
-        Commutative, with ``CacheStats()`` as the identity — folding any
-        permutation of per-worker deltas yields the same totals (and hence
-        the same derived hit rates).  Neither operand is mutated.
-        """
-        return CacheStats(
-            **{
-                name: getattr(self, name) + getattr(other, name)
-                for name in self._COUNTER_FIELDS
-            }
-        )
-
-    def diff(self, other: "CacheStats") -> "CacheStats":
-        """Return a new snapshot holding ``self - other`` per counter.
-
-        The inverse of :meth:`merge`; the batch engine uses it to isolate
-        the counters accumulated *during* one run from whatever the shared
-        caches saw before it started.
-        """
-        return CacheStats(
-            **{
-                name: getattr(self, name) - getattr(other, name)
-                for name in self._COUNTER_FIELDS
-            }
-        )
+    FIELDS = {
+        "trace_hits": SUM,
+        "trace_misses": SUM,
+        "trace_hit_rate": hit_rate("trace_hits", "trace_misses"),
+        "match_hits": SUM,
+        "match_misses": SUM,
+        "match_hit_rate": hit_rate("match_hits", "match_misses"),
+        "repair_hits": SUM,
+        "repair_misses": SUM,
+        "repair_hit_rate": hit_rate("repair_hits", "repair_misses"),
+    }
 
 
 @dataclass
@@ -228,7 +143,9 @@ class RepairCaches:
     """
 
     enabled: bool = True
-    stats: CacheStats = field(default_factory=CacheStats)
+    #: Hit/miss counters; created in ``__post_init__`` on this cache's lock,
+    #: so an increment made under that lock takes no second one.
+    stats: CacheStats = field(init=False)
     #: Tree-edit-distance memo (annotations + pair distances) threaded into
     #: candidate generation by :func:`repro.core.repair.find_best_repair`.
     #: Created in ``__post_init__`` so its ``enabled`` flag follows the
@@ -270,6 +187,7 @@ class RepairCaches:
     )
 
     def __post_init__(self) -> None:
+        self.stats = CacheStats(lock=self._lock)
         if self.ted is None:
             self.ted = TedCache(enabled=self.enabled)
         if self.compiled is None:
@@ -314,16 +232,15 @@ class RepairCaches:
         should call :func:`repro.core.inputs.program_traces` directly.
         """
         if not self.enabled:
-            with self._lock:
-                self.stats.trace_misses += 1
+            self.stats.add("trace_misses")
             return self._execute(program, cases)
         key = (self.program_key(program), case_set_key(cases))
         with self._lock:
             cached = self._traces.get(key)
             if cached is not None:
-                self.stats.trace_hits += 1
+                self.stats.add_locked("trace_hits")
                 return cached
-            self.stats.trace_misses += 1
+            self.stats.add_locked("trace_misses")
         traces = self._execute(program, cases)
         with self._lock:
             self._traces.setdefault(key, traces)
@@ -350,15 +267,14 @@ class RepairCaches:
         stopping at the first failure.
         """
         if not self.enabled:
-            with self._lock:
-                self.stats.trace_misses += 1
+            self.stats.add("trace_misses")
             # No trace cache to populate, so use the short-circuiting core
             # predicate — the pre-engine behaviour uncached baselines reproduce.
             return _is_correct_uncached(program, cases, compile_cache=self.compiled)
         key = (self.program_key(program), case_set_key(cases))
         with self._lock:
             if key in self._correct:
-                self.stats.trace_hits += 1
+                self.stats.add_locked("trace_hits")
                 return self._correct[key]
         traces = self.traces(program, cases)
         verdict = all(
@@ -409,16 +325,15 @@ class RepairCaches:
         mutated.
         """
         if not self.enabled:
-            with self._lock:
-                self.stats.match_misses += 1
+            self.stats.add("match_misses")
             with profiled(self.profiler, "match"):
                 return structural_match(query, base)
         key = (self.program_key(query), self.program_key(base))
         with self._lock:
             if key in self._matches:
-                self.stats.match_hits += 1
+                self.stats.add_locked("match_hits")
                 return self._matches[key]
-            self.stats.match_misses += 1
+            self.stats.add_locked("match_misses")
         with profiled(self.profiler, "match"):
             result = structural_match(query, base)
         with self._lock:
@@ -464,20 +379,19 @@ class RepairCaches:
         a waiter takes over.
         """
         if not self.enabled:
-            with self._lock:
-                self.stats.repair_misses += 1
+            self.stats.add("repair_misses")
             return compute()
         key = (self.program_key(program), context_key)
         while True:
             with self._lock:
                 if key in self._repairs:
-                    self.stats.repair_hits += 1
+                    self.stats.add_locked("repair_hits")
                     return self._repairs[key]
                 event = self._repair_inflight.get(key)
                 if event is None:
                     event = threading.Event()
                     self._repair_inflight[key] = event
-                    self.stats.repair_misses += 1
+                    self.stats.add_locked("repair_misses")
                     break
             # Another thread owns the computation; wait, then re-check (the
             # owner may have failed, in which case this thread takes over).

@@ -23,17 +23,15 @@ probe and every store segment a worker touches is local to the skeleton
 classes it owns.  Duplicate attempts hit the same warm cache they would
 have hit in one process; a segment pages in on exactly one worker, namely
 the one owning its skeleton; no cache entry or match that a single
-process would have shared is ever split across two processes.  Summing
-per-shard counters therefore reproduces the single-process values
-exactly for the sections built from class-local work: the profiler's
-``phases.counters``, the trace/match/repair ``cache`` hit/miss counters,
-the ``retrieval`` prefilter counters and the ``store_paging`` section
-(totals asserted equal across workers, loaded counts summed).  The
-expression-level TED/compile/solve memos *can* legitimately share entries
-across skeleton classes (the same sub-expression appears in two shapes),
-so those sections are merged by the same sum but carry no identity
-guarantee — ``benchmarks/test_parallel_batch.py`` records which sections
-are provably identical.
+process would have shared is ever split across two processes.  Folding
+per-shard counters with the :mod:`repro.counters` algebra therefore
+reproduces the single-process values exactly for every section built from
+class-local work.  The expression-level memos *can* legitimately share
+entries across skeleton classes (the same sub-expression appears in two
+shapes), so their sections are merged by the same sum but carry no
+identity guarantee.  :data:`COUNTER_SECTIONS` is the one table saying
+which section is which; this merge, ``batch --profile``, the tests, the
+benchmark and ``tools/parallel_smoke.py`` all read it.
 
 Determinism also does not depend on ``PYTHONHASHSEED``: shard planning
 uses SHA-256 skeleton digests and CRC-32 of the source bytes (for
@@ -61,17 +59,28 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..clusterstore.segments import skeleton_digest
+from ..clusterstore.segments import StorePaging, skeleton_digest
 from ..clusterstore.store import StoreHeader, read_store_header
-from ..core.profile import PhaseProfiler
+from ..core.profile import PHASE_REPORT
+from ..counters import OpenCounters, fold
+from ..ilp.fastpath import SolveCounters
+from ..interpreter.compile import CompileCounters
 from ..retrieval.index import DEFAULT_TOP_K, RetrievalStats
+from ..ted.zhang_shasha import TedCounters
 from .batch import BatchAttempt, BatchRecord, BatchRepairEngine, BatchReport
 from .cache import CacheStats
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.pipeline import RepairOutcome
 
-__all__ = ["ProcessBatchEngine", "shard_key", "shard_plan", "merge_store_paging"]
+__all__ = [
+    "COUNTER_SECTIONS",
+    "ProcessBatchEngine",
+    "counter_sections",
+    "identity_sections",
+    "shard_key",
+    "shard_plan",
+]
 
 #: Environment variable for fault-injection tests: ``"<shard>:<after>"``
 #: makes the worker owning that shard hard-exit (``os._exit``) after
@@ -131,50 +140,59 @@ def shard_plan(
     return shards
 
 
-# -- counter-section merging ---------------------------------------------------------
+# -- counter sections ----------------------------------------------------------------
 
 
-def merge_store_paging(sections: Iterable[dict | None]) -> dict | None:
-    """Fold per-worker ``store_paging`` sections into the global view.
+@dataclass(frozen=True)
+class CounterSection:
+    """One section of a ``batch --profile`` report and how workers merge it."""
 
-    Every worker opens the same store, so the ``*_total`` counters must
-    agree (asserted — a mismatch means workers saw different stores, which
-    would invalidate the whole merge).  The ``*_loaded`` counters sum:
-    skeleton sharding pages each segment into exactly one worker, so the
-    sum equals the single-process loaded count, and ``segments_skipped``
-    is recomputed as total minus the merged loaded.
+    name: str
+    #: The section's counter schema (a mapping of parts for ``phases``).
+    schema: object
+    #: Whether the merged value must *equal* the single-process value
+    #: (class-local work) rather than merely be the sum over workers.
+    identical: bool
+    #: The part of the section that identity covers (``None``: all of it).
+    view: str | None = None
 
-    Returns ``None`` when no worker reported a section (no lazy store).
+
+#: Every section of :meth:`repro.core.pipeline.Clara.counters_payload`
+#: plus the run's ``cache`` counters (``BatchReport.cache_stats``), in
+#: report order.  Phase *timings* are machine-dependent, so only the phase
+#: counters carry the identity guarantee.
+COUNTER_SECTIONS = (
+    CounterSection("phases", PHASE_REPORT, identical=True, view="counters"),
+    CounterSection("ted", TedCounters, identical=False),
+    CounterSection("compile", CompileCounters, identical=False),
+    CounterSection("solve", SolveCounters, identical=False),
+    CounterSection("cache", CacheStats, identical=True),
+    CounterSection("cache_entries", OpenCounters, identical=False),
+    CounterSection("store_paging", StorePaging, identical=True),
+    CounterSection("retrieval", RetrievalStats, identical=True),
+)
+
+
+def counter_sections(payload: dict, cache_stats: CacheStats) -> dict:
+    """Every :data:`COUNTER_SECTIONS` section, in table order.
+
+    ``payload`` is a ``counters_payload()`` dict (or a merged
+    ``BatchReport.profile``); ``cache_stats`` supplies the ``cache`` section.
     """
-    reported = [section for section in sections if section]
-    if not reported:
-        return None
-    totals = {
-        (section["segments_total"], section["clusters_total"]) for section in reported
-    }
-    if len(totals) != 1:
-        raise ValueError(
-            f"workers disagree on store totals {sorted(totals)}; "
-            "they cannot have opened the same store"
-        )
-    segments_total, clusters_total = next(iter(totals))
-    segments_loaded = sum(section["segments_loaded"] for section in reported)
+    sections = dict(payload, cache=cache_stats.as_dict())
+    return {section.name: sections[section.name] for section in COUNTER_SECTIONS}
+
+
+def identity_sections(payload: dict, cache_stats: CacheStats) -> dict:
+    """The sections whose merged value must equal a single-process run."""
+    sections = counter_sections(payload, cache_stats)
     return {
-        "segments_total": segments_total,
-        "segments_loaded": segments_loaded,
-        "segments_skipped": segments_total - segments_loaded,
-        "clusters_total": clusters_total,
-        "clusters_loaded": sum(section["clusters_loaded"] for section in reported),
+        section.name: (
+            sections[section.name][section.view] if section.view else sections[section.name]
+        )
+        for section in COUNTER_SECTIONS
+        if section.identical
     }
-
-
-def _sum_counter_dicts(sections: Iterable[dict]) -> dict:
-    """Key-wise sum of flat ``{name: int}`` counter dicts (order-preserving)."""
-    merged: dict = {}
-    for section in sections:
-        for name, value in section.items():
-            merged[name] = merged.get(name, 0) + value
-    return merged
 
 
 # -- the engine ----------------------------------------------------------------------
@@ -431,36 +449,15 @@ class ProcessBatchEngine:
                     )
                 records[index] = record
 
-        frames = [result.frame for result in results if result.frame is not None]
+        frames = [result.frame["counters"] for result in results if result.frame]
         cache_stats = CacheStats()
-        for frame in frames:
-            cache_stats = cache_stats.merge(CacheStats.from_dict(frame["cache"]))
-
         profile: dict | None = None
         if frames:
-            profiler = PhaseProfiler()
-            retrieval = RetrievalStats()
-            for frame in frames:
-                counters = frame["counters"]
-                profiler = profiler.merge(PhaseProfiler.from_dict(counters["phases"]))
-                retrieval = retrieval.merge(
-                    RetrievalStats.from_dict(counters["retrieval"])
-                )
             profile = {
-                "phases": profiler.as_dict(),
-                "ted": _sum_counter_dicts(f["counters"]["ted"] for f in frames),
-                "compile": _sum_counter_dicts(
-                    f["counters"]["compile"] for f in frames
-                ),
-                "solve": _sum_counter_dicts(f["counters"]["solve"] for f in frames),
-                "cache_entries": _sum_counter_dicts(
-                    f["counters"]["cache_entries"] for f in frames
-                ),
-                "store_paging": merge_store_paging(
-                    f["counters"]["store_paging"] for f in frames
-                ),
-                "retrieval": retrieval.as_dict(),
+                section.name: fold(section.schema, [frame[section.name] for frame in frames])
+                for section in COUNTER_SECTIONS
             }
+            cache_stats = CacheStats.from_dict(profile.pop("cache"))
 
         final_records = [record for record in records if record is not None]
         outcomes: list[RepairOutcome] = [

@@ -10,8 +10,9 @@ UTF-8:
 * stdout — one ``{"id", "record"}`` object per attempt as soon as it is
   repaired (``record`` is :meth:`repro.engine.batch.BatchRecord.to_json`),
   flushed per line so a crashed worker loses only unfinished attempts;
-  then one final ``{"counters", "cache"}`` frame carrying the pipeline's
-  :meth:`repro.core.pipeline.Clara.counters_payload` and the accumulated
+  then one final ``{"counters"}`` frame carrying every section of
+  :data:`repro.engine.parallel.COUNTER_SECTIONS`: the pipeline's
+  :meth:`repro.core.pipeline.Clara.counters_payload` plus the accumulated
   trace/match/repair cache delta.
 
 The worker rebuilds its pipeline from the dataset registry (the store
@@ -86,6 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     from ..retrieval.index import DEFAULT_TOP_K
     from .batch import BatchAttempt, BatchRepairEngine
     from .cache import CacheStats, RepairCaches
+    from .parallel import counter_sections
 
     header = read_store_header(args.store)
     if not header.problem:
@@ -128,12 +130,8 @@ def main(argv: list[str] | None = None) -> int:
             # Simulate a hard death (no cleanup, no final frame) so tests
             # exercise the parent's crash-fill path, not a graceful exit.
             os._exit(23)
-    print(
-        json.dumps(
-            {"counters": clara.counters_payload(), "cache": cache_total.as_dict()}
-        ),
-        flush=True,
-    )
+    counters = counter_sections(clara.counters_payload(), cache_total)
+    print(json.dumps({"counters": counters}), flush=True)
     return 0
 
 

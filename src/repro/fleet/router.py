@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ..clusterstore.store import ClusterStoreError, read_store_header
+from ..counters import fold
 from ..service.protocol import (
     PROTOCOL_VERSION,
     ProtocolError,
@@ -45,6 +46,7 @@ from .supervisor import (
     DEFAULT_HEARTBEAT_INTERVAL,
     DEFAULT_KILL_AFTER,
     BackoffPolicy,
+    ShardCounters,
     WorkerSupervisor,
 )
 
@@ -178,24 +180,22 @@ class FleetService:
         return self.supervisors[self._shard_of[problem]]
 
     def fleet_counters(self) -> dict:
-        """Aggregated recovery counters across shards (deterministic order)."""
-        totals: dict[str, int] = {}
-        for supervisor in self.supervisors:
-            for key, value in supervisor.counters.items():
-                totals[key] = totals.get(key, 0) + value
-        return dict(sorted(totals.items()))
+        """Recovery counters summed across shards (deterministic order).
+
+        Folds each supervisor's ``describe()`` snapshot, which is taken
+        under that supervisor's lock, so no shard is read mid-update.
+        """
+        return fold(ShardCounters, [s.describe()["counters"] for s in self.supervisors])
 
     def _fleet_stats(self) -> dict:
+        shards = [supervisor.describe() for supervisor in self.supervisors]
         return {
             "size": self.fleet_size,
             "shards": {
-                str(shard): {
-                    "problems": self._shard_problems[shard],
-                    **supervisor.describe(),
-                }
-                for shard, supervisor in enumerate(self.supervisors)
+                str(index): {"problems": self._shard_problems[index], **shard}
+                for index, shard in enumerate(shards)
             },
-            "totals": self.fleet_counters(),
+            "totals": fold(ShardCounters, [shard["counters"] for shard in shards]),
         }
 
     # -- request handling ---------------------------------------------------------

@@ -50,9 +50,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+from ..counters import SUM, Counters
 from ..service.protocol import error_payload
 
-__all__ = ["BackoffPolicy", "READY_OP", "WorkerSupervisor"]
+__all__ = ["BackoffPolicy", "READY_OP", "ShardCounters", "WorkerSupervisor"]
 
 #: The op of the handshake frame a worker emits once it is serving.  Lives
 #: here (not in :mod:`repro.fleet.worker`) so that importing the package
@@ -110,6 +111,12 @@ class _Pending:
         #: When this request reached the head of the FIFO (i.e. started
         #: processing); the kill deadline is measured from here.
         self.started: float | None = None
+
+
+class ShardCounters(Counters):
+    """One shard's recovery counters; the fleet's totals are their sum."""
+
+    FIELDS = dict.fromkeys(("crashes", "kills", "restarts", "retries", "served", "shed"), SUM)
 
 
 class WorkerSupervisor:
@@ -171,14 +178,7 @@ class WorkerSupervisor:
         self._reader: threading.Thread | None = None
         self._writer: threading.Thread | None = None
         self._watchdog: threading.Thread | None = None
-        self.counters = {
-            "crashes": 0,
-            "kills": 0,
-            "restarts": 0,
-            "retries": 0,
-            "shed": 0,
-            "served": 0,
-        }
+        self.counters = ShardCounters(lock=self._cond)
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -262,7 +262,7 @@ class WorkerSupervisor:
         with self._cond:
             if self._state == "unavailable":
                 if not internal:
-                    self.counters["shed"] += 1
+                    self.counters.add_locked("shed")
                 self._resolve(pend, self._unavailable_error)
                 return future
             if self._stopping or self._state == "stopped":
@@ -297,7 +297,7 @@ class WorkerSupervisor:
                 "incarnation": self._incarnation,
                 "strikes": self._strikes,
                 "queued": len(self._outbox) + len(self._pending),
-                "counters": dict(sorted(self.counters.items())),
+                "counters": self.counters.as_dict(),
             }
 
     # -- spawn / respawn ----------------------------------------------------------
@@ -370,7 +370,7 @@ class WorkerSupervisor:
         with self._cond:
             if self._stopping or self._state != "restarting":
                 return
-            self.counters["restarts"] += 1
+            self.counters.add_locked("restarts")
             incarnation = self._incarnation + 1
         self._spawn(incarnation)
         self._await_ready(incarnation)
@@ -426,7 +426,7 @@ class WorkerSupervisor:
                 self._last_activity = time.monotonic()
                 self._strikes = 0
                 if not pend.internal:
-                    self.counters["served"] += 1
+                    self.counters.add_locked("served")
                 self._resolve(pend, lambda _p: payload)
         proc.wait()
         self._handle_exit(incarnation)
@@ -441,7 +441,7 @@ class WorkerSupervisor:
                 self._state = "stopped"
                 self._cond.notify_all()
                 return
-            self.counters["crashes"] += 1
+            self.counters.add_locked("crashes")
             self._strikes += 1
             requeue: list[_Pending] = []
             while self._pending:
@@ -463,10 +463,10 @@ class WorkerSupervisor:
                 while self._outbox:
                     pend = self._outbox.popleft()
                     if not pend.internal:
-                        self.counters["shed"] += 1
+                        self.counters.add_locked("shed")
                     self._resolve(pend, self._unavailable_error)
             else:
-                self.counters["retries"] += len(requeue)
+                self.counters.add_locked("retries", len(requeue))
                 for pend in reversed(requeue):
                     self._outbox.appendleft(pend)
                 self._state = "restarting"
@@ -494,7 +494,7 @@ class WorkerSupervisor:
                     and now - self._pending[0].started > self.kill_after
                 ):
                     kill_proc = self._proc
-                    self.counters["kills"] += 1
+                    self.counters.add_locked("kills")
                 elif (
                     self.heartbeat_interval is not None
                     and self._state == "serving"

@@ -41,16 +41,25 @@ from __future__ import annotations
 
 import threading
 
+from ..counters import SUM, Counters
 from .problem import IlpProblem, IlpSolution
 from .solver import InfeasibleError, solve
 from .structure import analyze_assignment_form, problem_fingerprint, solve_assignment
 
-__all__ = ["SolveCache", "solve_fast"]
+__all__ = ["SolveCache", "SolveCounters", "solve_fast"]
 
 #: Cache sentinel: the problem was *proven* infeasible.
 _INFEASIBLE = object()
 #: Lookup sentinel: no cached entry.
 _MISS = object()
+
+
+class SolveCounters(Counters):
+    """The :class:`SolveCache` counters (see its docstring)."""
+
+    FIELDS = dict.fromkeys(
+        ("hits", "misses", "degenerate_dispatches", "bnb_fallbacks", "nodes_explored"), SUM
+    )
 
 
 class SolveCache:
@@ -64,7 +73,8 @@ class SolveCache:
     :class:`repro.ted.TedCache` — that is how the differential tests and
     the solver benchmark measure what the fast path avoids.
 
-    Counters (monotonic):
+    Counters (monotonic, in ``stats``, a :class:`SolveCounters` sharing the
+    table lock):
 
     * ``hits`` / ``misses`` — fingerprint lookups answered / not answered
       from the table;
@@ -84,11 +94,7 @@ class SolveCache:
         self.max_entries = max_entries
         self._lock = threading.Lock()
         self._table: dict[tuple, object] = {}
-        self.hits = 0
-        self.misses = 0
-        self.degenerate_dispatches = 0
-        self.bnb_fallbacks = 0
-        self.nodes_explored = 0
+        self.stats = SolveCounters(lock=self._lock)
 
     # -- lookup/store ----------------------------------------------------------
 
@@ -100,9 +106,9 @@ class SolveCache:
         """Return the stored verdict for ``key`` or the miss sentinel."""
         with self._lock:
             if key is not None and key in self._table:
-                self.hits += 1
+                self.stats.add_locked("hits")
                 return self._table[key]
-            self.misses += 1
+            self.stats.add_locked("misses")
             return _MISS
 
     def store(self, key: tuple | None, entry: object) -> None:
@@ -112,25 +118,11 @@ class SolveCache:
             if len(self._table) < self.max_entries or key in self._table:
                 self._table[key] = entry
 
-    def record(self, *, degenerate: int = 0, fallbacks: int = 0, nodes: int = 0) -> None:
-        """Bump dispatch counters (called by :func:`solve_fast`)."""
-        with self._lock:
-            self.degenerate_dispatches += degenerate
-            self.bnb_fallbacks += fallbacks
-            self.nodes_explored += nodes
-
     # -- maintenance -----------------------------------------------------------
 
     def counters(self) -> dict[str, int]:
         """Snapshot of the counters, for reports and benchmarks."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "degenerate_dispatches": self.degenerate_dispatches,
-                "bnb_fallbacks": self.bnb_fallbacks,
-                "nodes_explored": self.nodes_explored,
-            }
+        return self.stats.as_dict()
 
     def entry_counts(self) -> dict[str, int]:
         with self._lock:
@@ -211,7 +203,7 @@ def solve_fast(
     form = analyze_assignment_form(problem)
     if form is not None:
         if cache is not None:
-            cache.record(degenerate=1)
+            cache.stats.add("degenerate_dispatches")
         try:
             solution = solve_assignment(problem, form)
         except InfeasibleError:
@@ -227,19 +219,19 @@ def solve_fast(
         return solution
 
     if cache is not None:
-        cache.record(fallbacks=1)
+        cache.stats.add("bnb_fallbacks")
     try:
         solution = solve(problem, node_limit=node_limit, upper_bound=upper_bound)
     except InfeasibleError as error:
         if cache is not None:
-            cache.record(nodes=error.nodes_explored)
+            cache.stats.add("nodes_explored", error.nodes_explored)
             if error.proven:
                 cache.store(key, _INFEASIBLE)
         if not error.proven and upper_bound is not None:
             return None
         raise
     if cache is not None:
-        cache.record(nodes=solution.nodes_explored)
+        cache.stats.add("nodes_explored", solution.nodes_explored)
         if solution.optimal:
             # An optimal solution is the global optimum even when found
             # under an upper bound: warm-start pruning only ever discards

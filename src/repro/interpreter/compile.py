@@ -39,11 +39,14 @@ from __future__ import annotations
 import threading
 from typing import Callable, Mapping
 
+from ..counters import SUM, Counters
 from ..model.expr import Const, Expr, Op, Var
 from .libfuncs import lookup
 from .values import UNDEF, freeze_value, is_undef
 
-__all__ = ["CompiledExpr", "CompileCache", "compile_expr", "default_compile_cache"]
+__all__ = [
+    "CompiledExpr", "CompileCache", "CompileCounters", "compile_expr", "default_compile_cache"
+]
 
 #: A compiled expression: memory mapping → value in the computation domain.
 CompiledExpr = Callable[[Mapping[str, object]], object]
@@ -185,6 +188,12 @@ def compile_expr(expr: Expr) -> CompiledExpr:
     return _compile_node(expr, compile_expr)
 
 
+class CompileCounters(Counters):
+    """The :class:`CompileCache` counters (see its docstring)."""
+
+    FIELDS = dict.fromkeys(("hits", "misses", "nodes_compiled"), SUM)
+
+
 class CompileCache:
     """Memoized expression compiler with hit/miss counters.
 
@@ -196,7 +205,7 @@ class CompileCache:
     structural hash — so interned expressions resolve in O(1) and even
     non-interned structural duplicates share one closure.
 
-    Counters (monotonic; increments are lock-guarded):
+    Counters (monotonic, in ``stats``, a :class:`CompileCounters`):
 
     * ``hits`` — closures answered from the memo;
     * ``misses`` — top-level requests that had to compile (one per
@@ -227,20 +236,16 @@ class CompileCache:
         self.max_entries = max_entries
         self._fns: dict[Expr, CompiledExpr] = {}
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.nodes_compiled = 0
+        self.stats = CompileCounters(lock=self._lock)
 
     def fn(self, expr: Expr) -> CompiledExpr:
         """Return the (memoized) compiled form of ``expr``."""
         if self.enabled:
             compiled = self._fns.get(expr)
             if compiled is not None:
-                with self._lock:
-                    self.hits += 1
+                self.stats.add("hits")
                 return compiled
-        with self._lock:
-            self.misses += 1
+        self.stats.add("misses")
         return self._subfn(expr)
 
     def _subfn(self, expr: Expr) -> CompiledExpr:
@@ -256,8 +261,7 @@ class CompileCache:
             compiled = self._fns.get(expr)
             if compiled is not None:
                 return compiled
-        with self._lock:
-            self.nodes_compiled += 1
+        self.stats.add("nodes_compiled")
         compiled = _compile_node(expr, self._subfn)
         if self.enabled:
             if len(self._fns) >= self.max_entries:
@@ -270,12 +274,7 @@ class CompileCache:
 
     def counters(self) -> dict[str, int]:
         """Deterministic counters for reports (no timings)."""
-        with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "nodes_compiled": self.nodes_compiled,
-            }
+        return self.stats.as_dict()
 
     def entry_counts(self) -> dict[str, int]:
         return {"compiled_exprs": len(self._fns)}

@@ -20,9 +20,9 @@ expensive exact matches run before the hit.
 
 from __future__ import annotations
 
-import threading
-from dataclasses import dataclass, field
 from typing import Callable, Sequence, TypeVar
+
+from ..counters import SUM, Counters
 
 __all__ = ["DEFAULT_TOP_K", "RetrievalStats", "ranked_candidates", "squared_distance"]
 
@@ -86,8 +86,7 @@ def ranked_candidates(
     ]
 
 
-@dataclass
-class RetrievalStats:
+class RetrievalStats(Counters):
     """Deterministic counters for the nearest-cluster prefilter.
 
     Attributes:
@@ -103,88 +102,13 @@ class RetrievalStats:
             carries no usable vectors) or where the match sat beyond the
             top-k head and the exact-fallback tail found it.
 
-    All counters are per-process totals guarded by an internal lock, so
+    All counters are per-process totals guarded by the instance lock, so
     one instance is safe to share across batch worker threads; for a fixed
     sequence of repairs the values are independent of thread scheduling
-    (each attempt contributes a fixed amount).
+    (each attempt contributes a fixed amount, added atomically with
+    :meth:`~repro.counters.Counters.record`).
     """
 
-    candidates_ranked: int = 0
-    matches_attempted: int = 0
-    matches_skipped: int = 0
-    fallbacks: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False, compare=False
+    FIELDS = dict.fromkeys(
+        ("candidates_ranked", "matches_attempted", "matches_skipped", "fallbacks"), SUM
     )
-
-    def record(
-        self,
-        *,
-        ranked: int = 0,
-        attempted: int = 0,
-        skipped: int = 0,
-        fallbacks: int = 0,
-    ) -> None:
-        """Accumulate one repair's worth of counters atomically."""
-        with self._lock:
-            self.candidates_ranked += ranked
-            self.matches_attempted += attempted
-            self.matches_skipped += skipped
-            self.fallbacks += fallbacks
-
-    def as_dict(self) -> dict[str, int]:
-        """Flat dict of the counters, for JSON reports."""
-        with self._lock:
-            return {
-                "candidates_ranked": self.candidates_ranked,
-                "matches_attempted": self.matches_attempted,
-                "matches_skipped": self.matches_skipped,
-                "fallbacks": self.fallbacks,
-            }
-
-    def snapshot(self) -> "RetrievalStats":
-        """An independent copy of the current counter values."""
-        return self.from_dict(self.as_dict())
-
-    # -- algebra ---------------------------------------------------------------
-
-    _COUNTER_FIELDS = (
-        "candidates_ranked",
-        "matches_attempted",
-        "matches_skipped",
-        "fallbacks",
-    )
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "RetrievalStats":
-        """Rebuild counters from an :meth:`as_dict` payload.
-
-        The exact inverse of :meth:`as_dict`; this is how per-worker
-        retrieval counters cross the process boundary in
-        :mod:`repro.engine.parallel`.
-        """
-        return cls(**{name: int(payload.get(name, 0)) for name in cls._COUNTER_FIELDS})
-
-    def merge(self, other: "RetrievalStats") -> "RetrievalStats":
-        """Return a new snapshot with both operands' counters summed.
-
-        Commutative, with ``RetrievalStats()`` as the identity: each repair
-        contributes a fixed per-attempt amount, so folding per-worker
-        snapshots in any order reproduces the single-process totals.
-        Neither operand is mutated.
-        """
-        mine, theirs = self.as_dict(), other.as_dict()
-        return RetrievalStats(
-            **{name: mine[name] + theirs[name] for name in self._COUNTER_FIELDS}
-        )
-
-    def diff(self, other: "RetrievalStats") -> "RetrievalStats":
-        """Return a new snapshot holding ``self - other`` per counter.
-
-        The inverse of :meth:`merge`, for isolating the counters one run
-        accumulated on a long-lived shared instance.
-        """
-        mine, theirs = self.as_dict(), other.as_dict()
-        return RetrievalStats(
-            **{name: mine[name] - theirs[name] for name in self._COUNTER_FIELDS}
-        )

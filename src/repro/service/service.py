@@ -58,6 +58,7 @@ from typing import Sequence
 from ..clusterstore.store import ClusterStoreError, case_signature, open_lazy
 from ..core.inputs import InputCase
 from ..core.pipeline import Clara
+from ..counters import SUM, Counters
 from ..engine.batch import BatchAttempt, BatchRecord, BatchRepairEngine
 from .protocol import PROTOCOL_VERSION, ProtocolError, Request, error_payload
 from .protocol import parse_request_line
@@ -156,34 +157,14 @@ class ProblemRuntime:
             return old.revision, self._state.revision
 
 
-class ServiceStats:
+class ServiceStats(Counters):
     """Thread-safe service counters (all monotonic except ``in_flight``)."""
 
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.requests = 0
-        self.repairs = 0
-        self.errors = 0
-        self.rejected_overload = 0
-        self.deadline_timeouts = 0
-        self.reloads = 0
-        self.in_flight = 0
-
-    def as_dict(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "requests": self.requests,
-                "repairs": self.repairs,
-                "errors": self.errors,
-                "rejected_overload": self.rejected_overload,
-                "deadline_timeouts": self.deadline_timeouts,
-                "reloads": self.reloads,
-                "in_flight": self.in_flight,
-            }
-
-    def bump(self, field: str, delta: int = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + delta)
+    FIELDS = dict.fromkeys(
+        ("requests", "repairs", "errors", "rejected_overload", "deadline_timeouts", "reloads",
+         "in_flight"),
+        SUM,
+    )
 
 
 class RepairService:
@@ -307,7 +288,7 @@ class RepairService:
         """Hot-reload one problem's store (see :meth:`ProblemRuntime.reload`)."""
         runtime = self._resolve(problem)
         result = runtime.reload()
-        self.stats.bump("reloads")
+        self.stats.add("reloads")
         return result
 
     def _resolve(self, problem: str | None) -> ProblemRuntime:
@@ -335,13 +316,13 @@ class RepairService:
         try:
             request = parse_request_line(line)
         except ProtocolError as exc:
-            self.stats.bump("errors")
+            self.stats.add("errors")
             return error_payload(exc.code, exc.message, exc.request_id)
         return await self.handle(request)
 
     async def handle(self, request: Request) -> dict:
         """Dispatch one parsed request to its op handler."""
-        self.stats.bump("requests")
+        self.stats.add("requests")
         try:
             if request.op == "repair":
                 return await self._handle_repair(request)
@@ -371,10 +352,10 @@ class RepairService:
                 return self._base_response(request)
             raise ProtocolError("unknown-op", f"unknown op {request.op!r}")
         except ProtocolError as exc:
-            self.stats.bump("errors")
+            self.stats.add("errors")
             return error_payload(exc.code, exc.message, request.request_id)
         except Exception as exc:  # noqa: BLE001 - a request must never kill the loop
-            self.stats.bump("errors")
+            self.stats.add("errors")
             return error_payload(
                 "internal", f"{type(exc).__name__}: {exc}", request.request_id
             )
@@ -383,14 +364,14 @@ class RepairService:
         runtime = self._resolve(request.problem)
         with self._admission_lock:
             if self.stats.in_flight >= self.queue_size:
-                self.stats.bump("rejected_overload")
-                self.stats.bump("errors")
+                self.stats.add("rejected_overload")
+                self.stats.add("errors")
                 return error_payload(
                     "overloaded",
                     f"{self.queue_size} repairs already in flight",
                     request.request_id,
                 )
-            self.stats.bump("in_flight")
+            self.stats.add("in_flight")
         # Snapshot after admission: a reload during this request must not
         # switch it to the new engine mid-flight.
         state = runtime.snapshot()
@@ -410,9 +391,9 @@ class RepairService:
             # submit can fail (e.g. the pool was shut down under a racing
             # close()); without a worker there is no done-callback, so the
             # slot must be released here or it leaks forever.
-            self.stats.bump("in_flight", -1)
+            self.stats.add("in_flight", -1)
             raise
-        worker_future.add_done_callback(lambda _f: self.stats.bump("in_flight", -1))
+        worker_future.add_done_callback(lambda _f: self.stats.add("in_flight", -1))
         future = asyncio.wrap_future(worker_future)
         try:
             if deadline is not None:
@@ -420,7 +401,7 @@ class RepairService:
             else:
                 record = await future
         except asyncio.TimeoutError:
-            self.stats.bump("deadline_timeouts")
+            self.stats.add("deadline_timeouts")
             return self._base_response(
                 request,
                 problem=runtime.name,
@@ -431,13 +412,13 @@ class RepairService:
         except ClusterStoreError as exc:
             # Both generations saw a segment rewritten after their header
             # was read: the store changed on disk and nobody reloaded.
-            self.stats.bump("errors")
+            self.stats.add("errors")
             return error_payload(
                 "stale-store",
                 f"{exc} (send a 'reload' for problem {runtime.name!r})",
                 request.request_id,
             )
-        self.stats.bump("repairs")
+        self.stats.add("repairs")
         revision, record = record
         return self._record_response(request, runtime.name, revision, record)
 
@@ -518,23 +499,26 @@ class RepairService:
         deterministic for a given request history, and the operator's view
         of how much of each store serving has actually touched.
         """
+        problems = {}
+        for runtime in self._problems.values():
+            # One snapshot per runtime: a concurrent reload must not pair
+            # one generation's revision with another's clusters or paging.
+            state = runtime.snapshot()
+            problems[runtime.name] = {
+                "revision": state.revision,
+                "clusters": state.engine.clara.cluster_count,
+                "store_paging": state.engine.clara.store_paging(),
+                "cache": runtime.caches.stats.as_dict(),
+                "cache_entries": runtime.caches.entry_counts(),
+                "ted": runtime.caches.ted.counters(),
+                "compile": runtime.caches.compiled.counters(),
+                "solve": runtime.caches.solve.counters(),
+                "retrieval": runtime.caches.retrieval.as_dict(),
+            }
         return {
             "service": self.stats.as_dict(),
             "queue_size": self.queue_size,
-            "problems": {
-                runtime.name: {
-                    "revision": runtime.revision,
-                    "clusters": runtime.snapshot().engine.clara.cluster_count,
-                    "store_paging": runtime.snapshot().engine.clara.store_paging(),
-                    "cache": runtime.caches.stats.as_dict(),
-                    "cache_entries": runtime.caches.entry_counts(),
-                    "ted": runtime.caches.ted.counters(),
-                    "compile": runtime.caches.compiled.counters(),
-                    "solve": runtime.caches.solve.counters(),
-                    "retrieval": runtime.caches.retrieval.as_dict(),
-                }
-                for runtime in self._problems.values()
-            },
+            "problems": problems,
         }
 
     def close(self) -> None:

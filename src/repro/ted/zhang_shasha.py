@@ -39,16 +39,17 @@ provably result-preserving:
 
 from __future__ import annotations
 
-import threading
 from collections import Counter
 from typing import Mapping
 
+from ..counters import SUM, Counters
 from ..model.expr import Expr, intern_expr
 from .tree import TreeNode, expr_to_tree, postorder
 
 __all__ = [
     "AnnotatedTree",
     "TedCache",
+    "TedCounters",
     "tree_edit_distance",
     "expr_edit_distance",
     "ted_lower_bound",
@@ -157,6 +158,12 @@ def ted_lower_bound(a: AnnotatedTree, b: AnnotatedTree) -> int:
     return max(abs(size_a - size_b), max(size_a, size_b) - shared)
 
 
+class TedCounters(Counters):
+    """The :class:`TedCache` counters (see its docstring)."""
+
+    FIELDS = dict.fromkeys(("dp_runs", "memo_hits", "lb_prunes", "trivial_hits"), SUM)
+
+
 class TedCache:
     """Memoization and counters for expression edit distances.
 
@@ -167,7 +174,7 @@ class TedCache:
     is how the unpruned baseline of ``benchmarks/test_repair_throughput.py``
     measures how many DP runs the fast path avoids.
 
-    Counters (monotonic, lock-guarded):
+    Counters (monotonic, in ``stats``, a :class:`TedCounters`):
 
     * ``dp_runs`` — full Zhang–Shasha DP executions;
     * ``memo_hits`` — distances answered from the pair memo;
@@ -187,11 +194,7 @@ class TedCache:
         self.max_entries = max_entries
         self._annotations: dict[Expr, AnnotatedTree] = {}
         self._distances: dict[tuple[Expr, Expr], int] = {}
-        self._lock = threading.Lock()
-        self.dp_runs = 0
-        self.memo_hits = 0
-        self.lb_prunes = 0
-        self.trivial_hits = 0
+        self.stats = TedCounters()
 
     # -- annotations -----------------------------------------------------------
 
@@ -230,27 +233,23 @@ class TedCache:
         Results strictly below the budget are always exact.
         """
         if expr1 is expr2 or expr1 == expr2:
-            with self._lock:
-                self.trivial_hits += 1
+            self.stats.add("trivial_hits")
             return 0
         a = intern_expr(expr1)
         b = intern_expr(expr2)
         if self.enabled:
             cached = self._distances.get((a, b))
             if cached is not None:
-                with self._lock:
-                    self.memo_hits += 1
+                self.stats.add("memo_hits")
                 return cached
         ann_a = self.annotation(a)
         ann_b = self.annotation(b)
         if budget is not None:
             bound = ted_lower_bound(ann_a, ann_b)
             if bound >= budget:
-                with self._lock:
-                    self.lb_prunes += 1
+                self.stats.add("lb_prunes")
                 return bound
-        with self._lock:
-            self.dp_runs += 1
+        self.stats.add("dp_runs")
         result = _annotated_distance(ann_a, ann_b, 1, 1, 1)
         if self.enabled:
             if len(self._distances) >= self.max_entries:
@@ -264,13 +263,7 @@ class TedCache:
 
     def counters(self) -> dict[str, int]:
         """Snapshot of the counters, for reports and benchmarks."""
-        with self._lock:
-            return {
-                "dp_runs": self.dp_runs,
-                "memo_hits": self.memo_hits,
-                "lb_prunes": self.lb_prunes,
-                "trivial_hits": self.trivial_hits,
-            }
+        return self.stats.as_dict()
 
     def entry_counts(self) -> dict[str, int]:
         return {

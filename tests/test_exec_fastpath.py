@@ -76,7 +76,7 @@ def test_compiled_equals_interpreted_on_random_expressions():
             assert values_equal(fn(memory), evaluate(expr, memory))
             # The memoized closure and a cache-free compile agree too.
             assert values_equal(compile_expr(expr)(memory), evaluate(expr, memory))
-    assert cache.misses > 0
+    assert cache.stats.misses > 0
 
 
 def test_compiled_short_circuit_returns_operands():
@@ -333,7 +333,7 @@ def test_repair_outcomes_identical_compiled_vs_interpreted():
     ]
 
     assert_repairs_field_identical(compiled, interpreted)
-    assert caches.compiled.hits > 0  # the screening loop really compiled
+    assert caches.compiled.stats.hits > 0  # the screening loop really compiled
 
 
 def test_default_compile_cache_is_shared():

@@ -117,7 +117,7 @@ def test_solve_fast_objective_identical_on_def55_problems():
         # Second solve of the same problem is answered from the memo with
         # the same verdict.
         assert _objective_or_none(problem, cache=cache) == fast
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.stats.hits == 1 and cache.stats.misses == 1
 
 
 def test_degenerate_dispatch_is_exact_and_explores_no_nodes():
@@ -128,8 +128,8 @@ def test_degenerate_dispatch_is_exact_and_explores_no_nodes():
         assert analyze_assignment_form(problem) is not None, trial
         cache = SolveCache()
         fast = _objective_or_none(problem, cache=cache)
-        assert cache.degenerate_dispatches == 1 and cache.bnb_fallbacks == 0
-        assert cache.nodes_explored == 0
+        assert cache.stats.degenerate_dispatches == 1 and cache.stats.bnb_fallbacks == 0
+        assert cache.stats.nodes_explored == 0
         try:
             spec = solve(problem).objective
         except InfeasibleError:
@@ -142,7 +142,7 @@ def test_degenerate_dispatch_is_exact_and_explores_no_nodes():
             dispatched += 1
         # Proven verdicts (both kinds) are memoized.
         assert _objective_or_none(problem, cache=cache) == fast
-        assert cache.hits == 1
+        assert cache.stats.hits == 1
     assert dispatched > 50 and infeasible > 10  # both regimes exercised
 
 
@@ -167,7 +167,7 @@ def test_implications_decline_the_degenerate_form():
     assert analyze_assignment_form(problem) is None
     cache = SolveCache()
     solution = solve_fast(problem, cache=cache)
-    assert cache.bnb_fallbacks == 1 and cache.degenerate_dispatches == 0
+    assert cache.stats.bnb_fallbacks == 1 and cache.stats.degenerate_dispatches == 0
     assert solution.objective == solve(problem).objective
 
 
@@ -205,7 +205,7 @@ def test_fingerprint_is_insensitive_to_construction_order():
         cache = SolveCache()
         first = _objective_or_none(problem, cache=cache)
         assert _objective_or_none(shuffled, cache=cache) == first
-        assert cache.hits == 1
+        assert cache.stats.hits == 1
 
 
 def test_fingerprint_distinguishes_different_problems():
@@ -297,11 +297,11 @@ def test_truncated_incumbents_are_not_cached():
     assert cache.entry_counts() == {"solves": 0}
     # The next (unlimited) solve is a miss and runs for real ...
     exact = solve_fast(problem, cache=cache)
-    assert exact.optimal and cache.hits == 0
+    assert exact.optimal and cache.stats.hits == 0
     # ... and only then is the optimum memoized.
     assert cache.entry_counts() == {"solves": 1}
     assert solve_fast(problem, cache=cache).objective == exact.objective
-    assert cache.hits == 1
+    assert cache.stats.hits == 1
 
 
 def test_unproven_infeasibility_is_not_cached():
@@ -320,7 +320,7 @@ def test_unproven_infeasibility_is_not_cached():
     assert cache.entry_counts() == {"solves": 1}
     with pytest.raises(InfeasibleError) as hit:  # ... and the proof is reused
         solve_fast(problem, cache=cache)
-    assert hit.value.proven and cache.hits == 1
+    assert hit.value.proven and cache.stats.hits == 1
 
 
 def test_empty_choice_group_is_proven_infeasible_via_dispatch():
@@ -332,7 +332,7 @@ def test_empty_choice_group_is_proven_infeasible_via_dispatch():
     with pytest.raises(InfeasibleError) as excinfo:
         solve_fast(problem, cache=cache)
     assert excinfo.value.proven
-    assert cache.degenerate_dispatches == 1 and cache.nodes_explored == 0
+    assert cache.stats.degenerate_dispatches == 1 and cache.stats.nodes_explored == 0
     assert cache.entry_counts() == {"solves": 1}
 
 
@@ -372,7 +372,7 @@ def test_warm_start_applies_to_memoized_solutions():
     assert solve_fast(problem, cache=cache, upper_bound=exact.objective) is None
     better = solve_fast(problem, cache=cache, upper_bound=exact.objective + 1.0)
     assert better is not None and better.objective == exact.objective
-    assert cache.hits == 2  # both bounded solves were answered from the memo
+    assert cache.stats.hits == 2  # both bounded solves were answered from the memo
 
 
 def test_proven_infeasibility_outranks_the_bound():
@@ -409,8 +409,8 @@ def test_disabled_solve_cache_counts_misses_and_stores_nothing():
     first = solve_fast(problem, cache=cache)
     second = solve_fast(problem, cache=cache)
     assert first.objective == second.objective
-    assert cache.hits == 0 and cache.misses == 2
-    assert cache.bnb_fallbacks == 2 and cache.nodes_explored > 0
+    assert cache.stats.hits == 0 and cache.stats.misses == 2
+    assert cache.stats.bnb_fallbacks == 2 and cache.stats.nodes_explored > 0
     assert cache.entry_counts() == {"solves": 0}
 
 
@@ -440,9 +440,9 @@ def test_repair_outcomes_identical_with_solve_cache_on_vs_off():
     ]
 
     assert_repairs_field_identical(memoized, baseline)
-    assert cached.solve.hits > 0, "duplicated attempts must hit the solve memo"
-    assert cached.solve.hits + cached.solve.misses == uncached.solve.misses
-    assert cached.solve.nodes_explored < uncached.solve.nodes_explored
+    assert cached.solve.stats.hits > 0, "duplicated attempts must hit the solve memo"
+    assert cached.solve.stats.hits + cached.solve.stats.misses == uncached.solve.stats.misses
+    assert cached.solve.stats.nodes_explored < uncached.solve.stats.nodes_explored
 
 
 def test_pipeline_feedback_identical_with_solve_cache_on_vs_off():

@@ -25,12 +25,7 @@ from repro.core.profile import PhaseProfiler
 from repro.datasets import generate_corpus, get_problem
 from repro.engine import BatchAttempt, BatchRepairEngine, ProcessBatchEngine
 from repro.engine.cache import RepairCaches
-from repro.engine.parallel import (
-    CRASH_ENV,
-    merge_store_paging,
-    shard_key,
-    shard_plan,
-)
+from repro.engine.parallel import CRASH_ENV, identity_sections, shard_key, shard_plan
 
 from helpers.differential import report_rows
 
@@ -111,19 +106,6 @@ def _single_process_run(problem, path, attempts):
     return report, clara.counters_payload()
 
 
-def _identity_sections(cache_stats, payload):
-    """The sections whose merged values provably equal the single-process
-    run (class-local work; see the repro.engine.parallel module docstring).
-    ted/compile/cache_entries may legitimately differ: expression-level
-    memos can share entries across skeleton classes in one process."""
-    return {
-        "phases": payload["phases"]["counters"],
-        "cache": cache_stats.as_dict(),
-        "retrieval": payload["retrieval"],
-        "store_paging": payload["store_paging"],
-    }
-
-
 # -- differential: process engine vs in-process engines ------------------------------
 
 
@@ -155,14 +137,14 @@ def test_process_report_matches_sequential_and_threaded(store):
 def test_counter_sections_identical_across_process_counts(store):
     problem, path, attempts = store
     baseline_report, baseline_payload = _single_process_run(problem, path, attempts)
-    expected = _identity_sections(baseline_report.cache_stats, baseline_payload)
+    expected = identity_sections(baseline_payload, baseline_report.cache_stats)
 
     for processes in (1, 2, 4):
         report = ProcessBatchEngine(path, processes=processes, profile=True).run(
             attempts
         )
         assert report.profile is not None
-        merged = _identity_sections(report.cache_stats, report.profile)
+        merged = identity_sections(report.profile, report.cache_stats)
         assert merged == expected, f"counter sections diverged at {processes} processes"
         # The sum-merged sections without an identity guarantee still exist
         # and carry sane totals.
@@ -204,45 +186,6 @@ def test_shard_plan_groups_unparseable_duplicates_by_content():
     assert key_a != key_c
     shards = shard_plan(items, 2, language="python", entry=None)
     assert shards == [[0, 1], [2]]
-
-
-def test_merge_store_paging_sums_loads_and_checks_totals():
-    merged = merge_store_paging(
-        [
-            {
-                "segments_total": 4,
-                "segments_loaded": 1,
-                "segments_skipped": 3,
-                "clusters_total": 6,
-                "clusters_loaded": 2,
-            },
-            None,  # a worker without a lazy store reports nothing
-            {
-                "segments_total": 4,
-                "segments_loaded": 2,
-                "segments_skipped": 2,
-                "clusters_total": 6,
-                "clusters_loaded": 3,
-            },
-        ]
-    )
-    assert merged == {
-        "segments_total": 4,
-        "segments_loaded": 3,
-        "segments_skipped": 1,
-        "clusters_total": 6,
-        "clusters_loaded": 5,
-    }
-    assert merge_store_paging([None, None]) is None
-    with pytest.raises(ValueError, match="disagree"):
-        merge_store_paging(
-            [
-                {"segments_total": 4, "segments_loaded": 0, "clusters_total": 6,
-                 "clusters_loaded": 0, "segments_skipped": 4},
-                {"segments_total": 5, "segments_loaded": 0, "clusters_total": 6,
-                 "clusters_loaded": 0, "segments_skipped": 5},
-            ]
-        )
 
 
 # -- constructor validation ----------------------------------------------------------
@@ -306,6 +249,7 @@ import json, sys
 from repro.core.pipeline import Clara
 from repro.datasets import generate_corpus, get_problem
 from repro.engine import BatchAttempt, ProcessBatchEngine
+from repro.engine.parallel import identity_sections
 
 two_loop = @TWO_LOOP@
 attempts = [
@@ -322,12 +266,7 @@ rows = [
     [r.attempt_id, r.status, r.cost, r.relative_size, r.num_modified, r.feedback]
     for r in report.records
 ]
-sections = {
-    "phases": report.profile["phases"]["counters"],
-    "cache": report.cache_stats.as_dict(),
-    "retrieval": report.profile["retrieval"],
-    "store_paging": report.profile["store_paging"],
-}
+sections = identity_sections(report.profile, report.cache_stats)
 print(json.dumps({"rows": rows, "sections": sections}, sort_keys=True))
 """
 

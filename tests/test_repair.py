@@ -276,8 +276,8 @@ def test_cost_bounded_search_skips_ted_dps(paper_sources, deriv_cases):
     fast = RepairCaches()
     find_best_repair(implementation, clusters, caches=fast, cost_bound=True)
 
-    assert fast.ted.dp_runs < baseline.ted.dp_runs
-    assert fast.ted.memo_hits + fast.ted.lb_prunes > 0
+    assert fast.ted.stats.dp_runs < baseline.ted.stats.dp_runs
+    assert fast.ted.stats.memo_hits + fast.ted.stats.lb_prunes > 0
 
 
 def test_generate_local_repairs_prunes_only_at_or_above_bound(

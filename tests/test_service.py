@@ -15,6 +15,7 @@ import json
 import shutil
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -325,6 +326,30 @@ def test_stats_report_revisions_and_cache_counters(store_path, corpus):
     paging = problem_stats["store_paging"]
     assert paging["segments_total"] > 0
     assert 1 <= paging["segments_loaded"] <= paging["segments_total"]
+    service.close()
+
+
+def test_stats_reads_each_problem_from_one_state(store_path, monkeypatch):
+    """A reload racing the stats op must not pair one generation's revision
+    with another's cluster count or store paging: every snapshot() call
+    below returns a different generation, so only a single read agrees."""
+    service = RepairService(workers=1)
+    runtime = service.add_problem(store_path)
+    calls = iter(range(1, 100))
+
+    def next_generation():
+        generation = next(calls)
+        clara = SimpleNamespace(
+            cluster_count=100 + generation,
+            store_paging=lambda: {"generation": generation},
+        )
+        return SimpleNamespace(revision=generation, engine=SimpleNamespace(clara=clara))
+
+    monkeypatch.setattr(runtime, "snapshot", next_generation)
+    problem_stats = service.stats_snapshot()["problems"][PROBLEM]
+    generation = problem_stats["revision"]
+    assert problem_stats["clusters"] == 100 + generation
+    assert problem_stats["store_paging"] == {"generation": generation}
     service.close()
 
 

@@ -132,8 +132,8 @@ def test_memoized_distance_equals_fresh_dp_on_random_corpus():
         # Second lookup must hit the memo and still agree (both orders).
         assert expr_edit_distance(expr1, expr2, cache=cache) == expected
         assert expr_edit_distance(expr2, expr1, cache=cache) == expected
-    assert cache.memo_hits > 0
-    assert cache.dp_runs <= len(pairs)
+    assert cache.stats.memo_hits > 0
+    assert cache.stats.dp_runs <= len(pairs)
 
 
 def test_budgeted_distance_is_exact_below_budget_and_bounding_above():
@@ -183,8 +183,8 @@ def test_disabled_cache_counts_every_dp():
     b = Op("Add", Var("x"), Const(2))
     assert expr_edit_distance(a, b, cache=cache) == 1
     assert expr_edit_distance(a, b, cache=cache) == 1
-    assert cache.dp_runs == 2
-    assert cache.memo_hits == 0
+    assert cache.stats.dp_runs == 2
+    assert cache.stats.memo_hits == 0
     assert cache.entry_counts() == {"ted_annotations": 0, "ted_distances": 0}
 
 

@@ -10,8 +10,9 @@ Drives the real CLI end to end (the same entry points an operator uses):
 3. ``batch --processes 2 --profile`` over the same corpus;
 4. assert the two runs' JSONL reports are identical modulo per-attempt
    wall-clock, and that the deterministic counter sections of
-   ``results/local/batch_profile.json`` — phase counters, trace/match/
-   repair cache counters, retrieval counters, store paging — are *equal*.
+   ``results/local/batch_profile.json`` that
+   :data:`repro.engine.parallel.COUNTER_SECTIONS` marks identical are
+   *equal*.
 
 Exit code 0 on identity, 1 with a section-by-section diff on divergence.
 Used by the ``batch-parallel-smoke`` CI job and ``make
@@ -29,11 +30,9 @@ import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 
-#: Sections of the profile payload that must be equal, not merely summed.
-#: (ted/compile/cache_entries may differ: expression-level memos can share
-#: entries across skeleton classes inside one process.)
-IDENTICAL_SECTIONS = ("cache", "retrieval", "store_paging")
+from repro.engine.parallel import COUNTER_SECTIONS  # noqa: E402
 
 TWO_LOOP_BROKEN = (
     "def computeDeriv(poly):\n"
@@ -135,14 +134,18 @@ def main() -> int:
                 f"  --processes 1: {json.dumps(reports[1])}\n"
                 f"  --processes 2: {json.dumps(reports[2])}"
             )
-        single = dict(profiles[1], phases=profiles[1]["phases"]["counters"])
-        merged = dict(profiles[2], phases=profiles[2]["phases"]["counters"])
-        for section in ("phases",) + IDENTICAL_SECTIONS:
-            if single[section] != merged[section]:
+        checked = [section for section in COUNTER_SECTIONS if section.identical]
+        for section in checked:
+            single, merged = (
+                profiles[processes][section.name] for processes in (1, 2)
+            )
+            if section.view:
+                single, merged = single[section.view], merged[section.view]
+            if single != merged:
                 failures.append(
-                    f"profile section {section!r} diverged:\n"
-                    f"  --processes 1: {json.dumps(single[section], sort_keys=True)}\n"
-                    f"  --processes 2: {json.dumps(merged[section], sort_keys=True)}"
+                    f"profile section {section.name!r} diverged:\n"
+                    f"  --processes 1: {json.dumps(single, sort_keys=True)}\n"
+                    f"  --processes 2: {json.dumps(merged, sort_keys=True)}"
                 )
 
         if failures:
@@ -150,10 +153,10 @@ def main() -> int:
             for failure in failures:
                 print(failure, file=sys.stderr)
             return 1
-        checked = ", ".join(("phases",) + IDENTICAL_SECTIONS)
+        names = ", ".join(section.name for section in checked)
         print(
             f"batch --processes smoke OK: {len(reports[1])} records and "
-            f"counter sections [{checked}] identical across 1 and 2 processes"
+            f"counter sections [{names}] identical across 1 and 2 processes"
         )
         return 0
 
