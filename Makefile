@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test bench tier1 lint batch-parallel-smoke clean
+.PHONY: test bench tier1 lint batch-parallel-smoke perf clean
 
 test:
 	$(PYTHON) -m pytest tests/ -q
@@ -17,6 +17,14 @@ tier1:
 # deterministic profile counter sections.
 batch-parallel-smoke:
 	$(PYTHON) tools/parallel_smoke.py
+
+# Informational, not a gate: the two workloads BENCHMARK.json gates, untraced,
+# then the traced regrade-2p run with its per-layer ledger. Each run is
+# 20 s (BENCHMARK.json's run_seconds) plus set-up.
+perf:
+	$(PYTHON) perfbench/run.py --workload regrade-2p --seed 1 --seconds 20 --trace 0
+	$(PYTHON) perfbench/run.py --workload ingest --seed 1 --seconds 20 --trace 0
+	$(PYTHON) perfbench/run.py --workload regrade-2p --seed 1 --seconds 20 --trace 1
 
 lint:
 	$(PYTHON) -m compileall -q src tests benchmarks examples tools

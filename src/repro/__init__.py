@@ -13,7 +13,8 @@ Public API highlights:
 * :class:`repro.engine.BatchRepairEngine` — concurrent corpus repair with
   shared trace/match/repair caching and aggregate reporting.
 * :class:`repro.engine.ProcessBatchEngine` — the same corpus repair sharded
-  across worker subprocesses (multi-core) with deterministic counter merging.
+  across forked worker processes (multi-core) with deterministic counter
+  merging.
 * :class:`repro.service.RepairService` — the resident daemon: warm
   per-problem engines behind an asyncio NDJSON front door
   (``repro-clara serve``), with incremental

@@ -9,8 +9,9 @@ this package scales it to corpora.  It contributes two pieces:
   :class:`BatchReport`, concurrent repair of many attempts with per-attempt
   budgets and aggregate statistics;
 * :mod:`repro.engine.parallel` — :class:`ProcessBatchEngine`, the
-  multi-core path: skeleton-aligned shards across worker subprocesses
-  (:mod:`repro.engine.worker`) with deterministic counter merging.
+  multi-core path: skeleton-aligned shards repaired by
+  :func:`repro.engine.worker.run_shard` in worker processes forked from
+  the caller, with deterministic counter merging.
 
 The dependency direction is ``engine → core``; the one place the core calls
 back (``Clara.repair_source`` delegating to a batch of size 1) imports this

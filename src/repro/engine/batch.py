@@ -201,7 +201,7 @@ class BatchRepairEngine:
     and releases no GIL, so threads buy cache sharing and I/O-free
     scheduling — not CPU parallelism.  To put more *cores* on a corpus, use
     :class:`repro.engine.parallel.ProcessBatchEngine` (``batch --processes
-    N``): it shards the corpus across spawned worker processes, each running
+    N``): it shards the corpus across forked worker processes, each running
     this engine single-threaded over shared-nothing caches, and merges the
     per-shard reports and counters deterministically.
 
@@ -255,7 +255,7 @@ class BatchRepairEngine:
 
         With ``processes > 1`` this returns a
         :class:`repro.engine.parallel.ProcessBatchEngine` instead: the
-        corpus is sharded across that many spawned worker processes, each
+        corpus is sharded across that many forked worker processes, each
         opening the store header-only with its own warm caches and
         repairing its shard single-threaded.  ``clara`` then only supplies
         configuration (language check, prefilter settings, attached

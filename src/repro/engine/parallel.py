@@ -4,15 +4,29 @@
 *threads*, which share one pipeline's caches but — the repair hot path
 being pure Python that releases no GIL — never more than one core.
 :class:`ProcessBatchEngine` is the multi-core path behind ``batch
---processes N``: it shards a corpus across N spawned worker subprocesses
-(:mod:`repro.engine.worker`), each of which opens the cluster store
-header-only with its own warm shared-nothing
+--processes N``: it shards a corpus across N worker processes, each
+running :func:`repro.engine.worker.run_shard`, which opens the cluster
+store header-only with its own shared-nothing
 :class:`~repro.engine.cache.RepairCaches` and repairs its shard
 single-threaded, streaming per-attempt records back over a pipe.  The
 parent merges the shard streams into one
 :class:`~repro.engine.batch.BatchReport` in submission order and folds
 every per-worker counter section by commutative sum, so ``--profile``
 output is byte-stable regardless of process count.
+
+Workers are plain ``fork`` children of the calling process, started by
+each ``run`` and reaped before it returns.  A child starts with everything
+the caller has imported — :mod:`repro.engine.worker` imports the pipeline
+at module top — so no interpreter start and no import is paid per shard,
+and it runs exactly the code the caller runs (its ``sys.path``, its copy
+of ``repro``), with no ``__main__`` guard needed and its peak RSS counted
+in the caller's ``RUSAGE_CHILDREN``.  The one caveat is threads: ``fork``
+copies only the calling thread, so a lock another thread of the caller
+holds at that moment stays held in the child.  The worker only uses
+objects it creates itself (pipeline, caches, store handle, pipe), and
+Python 3.12+ warns (``DeprecationWarning``) when a multi-threaded process
+forks; the CLI, ``perfbench`` and the tests call ``run`` with no other
+thread running.
 
 Why the merged counters *equal* a single-process run (not merely sum to
 something plausible): shards are planned by **CFG-skeleton digest**
@@ -42,20 +56,19 @@ are reproducible run to run.
 A worker that dies mid-shard (crash, OOM kill) does not hang the merge:
 its already-streamed records are kept, and every unanswered attempt of
 that shard is reported as a structured ``internal-error`` record naming
-the shard and exit code.  The dead worker's final counters frame is
-simply absent from the merge.
+the shard and exit code, plus the worker's ``{"error"}`` message when it
+failed with an exception rather than dying.  The dead worker's final
+counters frame is simply absent from the merge.
 """
 
 from __future__ import annotations
 
-import json
+import multiprocessing
 import os
-import subprocess
-import sys
-import threading
 import time
 import zlib
 from dataclasses import dataclass, field
+from multiprocessing.connection import Connection, wait
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -85,11 +98,21 @@ __all__ = [
 #: Environment variable for fault-injection tests: ``"<shard>:<after>"``
 #: makes the worker owning that shard hard-exit (``os._exit``) after
 #: streaming ``after`` records, exercising the parent's crash-fill path.
+#: Read by the parent at each ``run`` and passed to the shard.
 CRASH_ENV = "REPRO_BATCH_WORKER_CRASH"
 
 #: Exit code the crash hook uses; distinctive enough that a test can tell
-#: an injected crash from an import error (1) or a usage error (2).
+#: an injected crash from a worker error (1).
 CRASH_EXIT_CODE = 23
+
+
+def _crash_hook() -> tuple[int | None, int | None]:
+    """``(shard, after)`` from :data:`CRASH_ENV`; ``(None, None)`` if unset."""
+    shard, _, after = os.environ.get(CRASH_ENV, "").partition(":")
+    try:
+        return int(shard), int(after)
+    except ValueError:
+        return None, None
 
 
 # -- shard planning ----------------------------------------------------------------
@@ -200,19 +223,19 @@ def identity_sections(payload: dict, cache_stats: CacheStats) -> dict:
 
 @dataclass
 class _ShardResult:
-    """What one worker thread collected: records by index, final frame, exit."""
+    """What one worker sent: records by index, final frame, exit code."""
 
     records: dict[int, BatchRecord] = field(default_factory=dict)
-    frame: dict | None = None
+    counters: dict | None = None
+    error: str = ""
     exit_code: int | None = None
-    stderr: str = ""
 
 
 class ProcessBatchEngine:
     """Shard a corpus across worker processes; merge one deterministic report.
 
     Built by ``BatchRepairEngine.from_store(..., processes=N)`` (the
-    ``batch --processes N`` path).  Each worker subprocess rebuilds its
+    ``batch --processes N`` path).  Each worker process rebuilds its
     pipeline from the dataset registry (the store header's ``problem``
     name), opens the store header-only, and repairs its skeleton-aligned
     shard single-threaded — per-shard counters are therefore deterministic,
@@ -226,7 +249,7 @@ class ProcessBatchEngine:
             registered problem (workers look it up to rebuild test cases).
         processes: Worker-process count (>= 1); also the reported
             ``BatchReport.workers``.  Shards left empty by the planner
-            spawn no process.
+            start no process.
         budget: Per-attempt wall-clock budget forwarded to every worker.
         profile: Attach a :class:`~repro.core.profile.PhaseProfiler` in
             every worker and merge the payloads (``batch --profile``).
@@ -242,8 +265,9 @@ class ProcessBatchEngine:
     the CLI and JSONL serialisation use).  Callers needing live
     ``RepairOutcome.repair`` objects want the in-process engine.
 
-    Thread safety: one ``run`` at a time per engine instance; the workers
-    it spawns share nothing with the caller.
+    Thread safety: one ``run`` at a time per engine instance, with no
+    other thread of the caller running (``run`` forks; see the module
+    docstring); the workers it forks share nothing with the caller.
 
     Raises:
         ClusterStoreError: Unreadable or non-store ``clusters_path``.
@@ -317,106 +341,62 @@ class ProcessBatchEngine:
             language=self.header.language,
             entry=self.header.entry,
         )
-        results: list[_ShardResult] = [_ShardResult() for _ in shards]
-        threads = []
+        from .worker import run_shard
+
+        context = multiprocessing.get_context("fork")
+        crash_shard, crash_after = _crash_hook()
+        results = [_ShardResult() for _ in shards]
+        live: dict[Connection, tuple[multiprocessing.Process, _ShardResult]] = {}
         for shard_index, member_indices in enumerate(shards):
             if not member_indices:
-                results[shard_index].exit_code = 0
                 continue
-            thread = threading.Thread(
-                target=self._drive_worker,
-                args=(shard_index, member_indices, items, effective_budget, results),
+            result = results[shard_index]
+            receiver, sender = context.Pipe(duplex=False)
+            process = context.Process(
+                target=run_shard,
+                args=(
+                    sender,
+                    str(self.clusters_path),
+                    [(i, items[i].attempt_id, items[i].source) for i in member_indices],
+                ),
+                kwargs=dict(
+                    budget=effective_budget,
+                    top_k=self.retrieval_top_k,
+                    profile=self.profile,
+                    prefilter=self.retrieval_prefilter,
+                    crash_after=crash_after if shard_index == crash_shard else None,
+                ),
                 name=f"batch-shard-{shard_index}",
                 daemon=True,
             )
-            thread.start()
-            threads.append(thread)
-        for thread in threads:
-            thread.join()
-        return self._merge(items, shards, results, time.perf_counter() - started)
-
-    # -- worker lifecycle ----------------------------------------------------------
-
-    def _worker_command(self, shard_index: int, budget: float | None) -> list[str]:
-        command = [
-            sys.executable,
-            "-m",
-            "repro.engine.worker",
-            "--store",
-            str(self.clusters_path),
-            "--shard",
-            str(shard_index),
-            "--top-k",
-            str(self.retrieval_top_k),
-        ]
-        if budget is not None:
-            command += ["--budget", repr(budget)]
-        if self.profile:
-            command.append("--profile")
-        if not self.retrieval_prefilter:
-            command.append("--no-prefilter")
-        return command
-
-    @staticmethod
-    def _environment() -> dict:
-        env = dict(os.environ)
-        # The worker must import the same repro package this process runs,
-        # whether or not it was pip-installed.
-        src = str(Path(__file__).resolve().parent.parent.parent)
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = src if not existing else src + os.pathsep + existing
-        return env
-
-    def _drive_worker(
-        self,
-        shard_index: int,
-        member_indices: list[int],
-        items: list[BatchAttempt],
-        budget: float | None,
-        results: list[_ShardResult],
-    ) -> None:
-        """Feed one worker its shard over stdin; collect its NDJSON stream."""
-        result = results[shard_index]
-        payload = "".join(
-            json.dumps(
-                {
-                    "id": index,
-                    "attempt_id": items[index].attempt_id,
-                    "source": items[index].source,
-                }
-            )
-            + "\n"
-            for index in member_indices
-        )
-        try:
-            proc = subprocess.Popen(
-                self._worker_command(shard_index, budget),
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE,
-                text=True,
-                encoding="utf-8",
-                env=self._environment(),
-            )
-        except OSError as exc:  # spawn failure (no interpreter, fd limits)
-            result.exit_code = -1
-            result.stderr = f"spawn failed: {exc}"
-            return
-        stdout, stderr = proc.communicate(payload)
-        result.exit_code = proc.returncode
-        result.stderr = stderr.strip()
-        for line in stdout.splitlines():
-            line = line.strip()
-            if not line:
-                continue
             try:
-                frame = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # a partial final line from a killed worker
-            if "record" in frame:
-                result.records[frame["id"]] = BatchRecord(**frame["record"])
-            elif "counters" in frame:
-                result.frame = frame
+                process.start()
+            except OSError as exc:  # fork failed: process or fd limits
+                result.exit_code = -1
+                result.error = f"start failed: {exc}"
+                receiver.close()
+                continue
+            finally:
+                sender.close()
+            live[receiver] = (process, result)
+        while live:
+            for receiver in wait(list(live)):
+                process, result = live[receiver]
+                try:
+                    frame = receiver.recv()
+                except (EOFError, OSError):  # the worker exited or died
+                    receiver.close()
+                    del live[receiver]
+                    process.join()
+                    result.exit_code = process.exitcode
+                    continue
+                if "record" in frame:
+                    result.records[frame["id"]] = BatchRecord(**frame["record"])
+                elif "counters" in frame:
+                    result.counters = frame["counters"]
+                else:
+                    result.error = frame["error"]
+        return self._merge(items, shards, results, time.perf_counter() - started)
 
     # -- merging ---------------------------------------------------------------------
 
@@ -439,8 +419,8 @@ class ProcessBatchEngine:
                         f"worker process for shard {shard_index} exited with "
                         f"code {result.exit_code} before repairing this attempt"
                     )
-                    if result.stderr:
-                        detail += f" (stderr: {result.stderr.splitlines()[-1][:200]})"
+                    if result.error:
+                        detail += f" (error: {result.error[:200]})"
                     record = BatchRecord(
                         attempt_id=items[index].attempt_id,
                         status=RepairStatus.INTERNAL_ERROR,
@@ -449,7 +429,7 @@ class ProcessBatchEngine:
                     )
                 records[index] = record
 
-        frames = [result.frame["counters"] for result in results if result.frame]
+        frames = [result.counters for result in results if result.counters]
         cache_stats = CacheStats()
         profile: dict | None = None
         if frames:

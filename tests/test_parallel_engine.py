@@ -14,12 +14,14 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from repro.clusterstore.store import ClusterStoreError, read_store_header
 from repro.core.pipeline import Clara
 from repro.core.profile import PhaseProfiler
 from repro.datasets import generate_corpus, get_problem
@@ -240,6 +242,47 @@ def test_worker_crash_surfaces_internal_error_records(store, monkeypatch):
     # The healthy shard is untouched.
     for index in shards[1]:
         assert report.records[index].status == baseline.records[index].status
+
+
+def test_worker_error_message_reaches_crash_fill_records(store, tmp_path, monkeypatch):
+    problem, path, attempts = store
+    # A relative store path keeps the error message short enough to be
+    # carried whole on every record.
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(path, "store.json")
+    engine = ProcessBatchEngine("store.json", processes=2)
+    os.remove("store.json")
+    with pytest.raises(ClusterStoreError) as info:
+        read_store_header("store.json")
+    message = str(info.value)
+
+    report = engine.run(attempts)
+
+    shards = shard_plan(attempts, 2, language=problem.language, entry=problem.entry)
+    assert len(report.records) == len(attempts)
+    for shard_index, member_indices in enumerate(shards):
+        for index in member_indices:
+            record = report.records[index]
+            assert record.status == "internal-error"
+            assert f"shard {shard_index}" in record.detail
+            assert message in record.detail
+
+
+def test_crash_hook_is_read_at_each_run(store, monkeypatch):
+    _problem, path, attempts = store
+    engine = ProcessBatchEngine(path, processes=2)
+    # A clean run first: the hook must be read at each run, not once per
+    # process or engine.
+    clean = engine.run(attempts)
+    assert "internal-error" not in [r.status for r in clean.records]
+
+    monkeypatch.setenv(CRASH_ENV, "0:1")
+    crashed = engine.run(attempts)
+    assert any("code 23" in r.detail for r in crashed.records)
+
+    monkeypatch.delenv(CRASH_ENV)
+    again = engine.run(attempts)
+    assert [r.status for r in again.records] == [r.status for r in clean.records]
 
 
 # -- PYTHONHASHSEED independence -----------------------------------------------------
