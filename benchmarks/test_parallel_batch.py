@@ -85,7 +85,7 @@ def test_parallel_batch(benchmark, results_dir, local_results_dir, tmp_path):
         entry=problem.entry,
         caches=RepairCaches(profiler=PhaseProfiler()),
     )
-    engine = BatchRepairEngine.from_store(path, clara, workers=1)
+    engine = BatchRepairEngine.from_store(path, clara)
     baseline_started = time.perf_counter()
     baseline = engine.run(attempts)
     baseline_time = time.perf_counter() - baseline_started

@@ -53,10 +53,6 @@ def _drive(service, lines):
     return asyncio.run(run())
 
 
-def _counter_delta(before: dict, after: dict) -> dict:
-    return {key: after[key] - before[key] for key in after if isinstance(after[key], int)}
-
-
 def test_service_throughput(benchmark, results_dir, local_results_dir, tmp_path):
     problem = get_problem("derivatives")
     corpus = generate_corpus(problem, 12, 6, seed=2018)
@@ -69,21 +65,20 @@ def test_service_throughput(benchmark, results_dir, local_results_dir, tmp_path)
     runtime = service.add_problem(store_path)
     lines = _request_lines(list(corpus.incorrect_sources) * DUPLICATION)
 
-    cold_cache_before = runtime.caches.stats.as_dict()
-    cold_ted_before = runtime.caches.ted.counters()
-    started = time.perf_counter()
-    cold_responses = _drive(service, lines)
-    cold_time = time.perf_counter() - started
-    cold_cache = _counter_delta(cold_cache_before, runtime.caches.stats.as_dict())
-    cold_ted = _counter_delta(cold_ted_before, runtime.caches.ted.counters())
+    def drive_pass():
+        """One pass over ``lines``: responses, seconds, cache and TED deltas."""
+        counters = (runtime.caches.stats, runtime.caches.ted.stats)
+        before = [stats.snapshot() for stats in counters]
+        started = time.perf_counter()
+        responses = _drive(service, lines)
+        elapsed = time.perf_counter() - started
+        cache, ted = (
+            stats.snapshot().diff(old).as_dict() for stats, old in zip(counters, before)
+        )
+        return responses, elapsed, cache, ted
 
-    warm_cache_before = runtime.caches.stats.as_dict()
-    warm_ted_before = runtime.caches.ted.counters()
-    started = time.perf_counter()
-    warm_responses = _drive(service, lines)
-    warm_time = time.perf_counter() - started
-    warm_cache = _counter_delta(warm_cache_before, runtime.caches.stats.as_dict())
-    warm_ted = _counter_delta(warm_ted_before, runtime.caches.ted.counters())
+    cold_responses, cold_time, cold_cache, cold_ted = drive_pass()
+    warm_responses, warm_time, warm_cache, warm_ted = drive_pass()
 
     # The daemon's reason to exist: the second pass is pure memo traffic.
     assert [r["status"] for r in warm_responses] == [r["status"] for r in cold_responses]

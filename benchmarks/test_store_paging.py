@@ -61,7 +61,7 @@ def _build_store(tmp_path):
 
 def _lazy_engine(problem, path):
     clara = Clara(cases=problem.cases, language=problem.language, entry=problem.entry)
-    return BatchRepairEngine.from_store(path, clara, workers=1)
+    return BatchRepairEngine.from_store(path, clara)
 
 
 def test_store_paging(benchmark, results_dir, local_results_dir, tmp_path):

@@ -10,7 +10,7 @@ Public API highlights:
 * :class:`repro.core.Clara` — the end-to-end pipeline (cluster + repair +
   feedback).
 * :class:`repro.core.InputCase` — a test input with expected behaviour.
-* :class:`repro.engine.BatchRepairEngine` — concurrent corpus repair with
+* :class:`repro.engine.BatchRepairEngine` — in-process corpus repair with
   shared trace/match/repair caching and aggregate reporting.
 * :class:`repro.engine.ProcessBatchEngine` — the same corpus repair sharded
   across forked worker processes (multi-core) with deterministic counter

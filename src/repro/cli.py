@@ -12,7 +12,7 @@ Examples::
     repro-clara cluster export clusters.json --output clusters-v2.json
     repro-clara cluster import clusters-v2.json --output clusters.json
     repro-clara batch --problem derivatives --attempts submissions/ \
-        --clusters clusters.json --workers 4 --output report.jsonl
+        --clusters clusters.json --output report.jsonl
     repro-clara batch --problem derivatives --attempts submissions/ \
         --clusters clusters.json --processes 4 --profile
     repro-clara serve --clusters clusters.json --port 9172
@@ -109,8 +109,17 @@ def _cmd_list_problems(_args: argparse.Namespace) -> int:
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:
-    spec = get_problem(args.problem)
-    source = Path(args.file).read_text(encoding="utf-8")
+    try:
+        spec = get_problem(args.problem)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
+    try:
+        source = Path(args.file).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"cannot read attempt {args.file}: {reason}", file=sys.stderr)
+        return 2
     corpus = generate_corpus(spec, args.correct, 0, seed=args.seed)
     clara = Clara(cases=spec.cases, language=spec.language, entry=spec.entry)
     clara.add_correct_sources(corpus.correct_sources)
@@ -161,21 +170,13 @@ def _load_attempts(path: Path, language: str) -> list[BatchAttempt]:
 
 
 def _cmd_cluster_build(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
     try:
         spec = get_problem(args.problem)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
     corpus = generate_corpus(spec, args.correct, 0, seed=args.seed)
-    clara = Clara(
-        cases=spec.cases,
-        language=spec.language,
-        entry=spec.entry,
-        cluster_workers=args.workers,
-    )
+    clara = Clara(cases=spec.cases, language=spec.language, entry=spec.entry)
     result = clara.add_correct_sources(corpus.correct_sources)
     try:
         path = clara.save_clusters(args.output, problem=spec.name)
@@ -293,9 +294,6 @@ def _cmd_cluster_import(args: argparse.Namespace) -> int:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        print(f"--workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return 2
     if args.processes < 1:
         print(f"--processes must be >= 1, got {args.processes}", file=sys.stderr)
         return 2
@@ -336,7 +334,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             engine = BatchRepairEngine.from_store(
                 args.clusters,
                 clara,
-                workers=args.workers,
                 budget=args.budget,
                 processes=args.processes,
             )
@@ -349,7 +346,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     else:
         corpus = generate_corpus(spec, args.correct, 0, seed=args.seed)
         clara.add_correct_sources(corpus.correct_sources)
-        engine = BatchRepairEngine(clara, workers=args.workers, budget=args.budget)
+        engine = BatchRepairEngine(clara, budget=args.budget)
     report = engine.run(attempts)
     if args.output:
         report.write_jsonl(args.output)
@@ -359,14 +356,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     histogram = ", ".join(
         f"{status}={count}" for status, count in summary["status_histogram"].items()
     )
-    parallelism = (
-        f"{args.processes} processes"
-        if args.processes > 1
-        else f"{args.workers} workers"
-    )
     print(
         f"batch: {summary['attempts']} attempts in {summary['wall_time']:.2f}s "
-        f"({summary['attempts_per_second']:.2f}/s, {parallelism})",
+        f"({summary['attempts_per_second']:.2f}/s, {args.processes} "
+        f"process{'es' if args.processes > 1 else ''})",
         file=sys.stderr,
     )
     print(f"statuses: {histogram}", file=sys.stderr)
@@ -411,7 +404,6 @@ def _write_batch_profile(args, spec, report, sections) -> Path:
     payload = {
         "problem": spec.name,
         "attempts": len(report.records),
-        "workers": args.workers,
         "processes": args.processes,
         **counter_sections(sections, report.cache_stats),
     }
@@ -583,12 +575,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--correct", type=int, default=None, help="correct attempts to cluster"
     )
     p_cluster_build.add_argument("--seed", type=int, default=0)
-    p_cluster_build.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="threads clustering fingerprint buckets concurrently",
-    )
     p_cluster_build.set_defaults(func=_cmd_cluster_build)
 
     p_cluster_info = cluster_sub.add_parser(
@@ -626,8 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_batch = sub.add_parser(
         "batch",
-        help="repair a corpus of attempts concurrently, emit a JSONL report",
-        description="Repair a corpus of attempts concurrently and emit a JSONL "
+        help="repair a corpus of attempts, emit a JSONL report",
+        description="Repair a corpus of attempts and emit a JSONL "
         "report (one line per attempt plus a summary trailer). Exit codes: "
         "0 = report produced (per-attempt statuses, including failures, are "
         "in the report), 1 = no attempts found, 2 = usage error.",
@@ -639,7 +625,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="directory of attempt files, a JSONL file with {id, source} lines, "
         "or a single source file",
     )
-    p_batch.add_argument("--workers", type=int, default=4, help="worker threads")
     p_batch.add_argument(
         "--processes",
         type=int,
@@ -648,8 +633,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard the corpus across N worker subprocesses, each repairing "
         "its CFG-skeleton-aligned shard single-threaded with its own warm "
         "caches; the merged report and --profile counters are identical to "
-        "a single-process run (requires --clusters; --workers is then "
-        "ignored). Default 1 = repair in this process.",
+        "a single-process run (requires --clusters). Default 1 = repair "
+        "in this process.",
     )
     p_batch.add_argument(
         "--budget", type=float, default=None, help="per-attempt budget in seconds"

@@ -212,7 +212,7 @@ class LazyStoredClustering:
     (:meth:`repro.core.pipeline.Clara.attach_lazy_clusters` does).
 
     Thread safety: header attributes are immutable; lookups and counters
-    are lock-guarded by the pager, so concurrent repair workers can share
+    are lock-guarded by the pager, so concurrent repair threads can share
     one instance.
     """
 

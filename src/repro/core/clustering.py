@@ -12,17 +12,16 @@ expensive matches — programs are sharded into buckets by a cheap
 matching-invariant fingerprint (control-flow skeleton + variable-arity +
 output-trace signature, see :mod:`repro.clusterstore.fingerprint`).  Two
 programs in different buckets can never match, so each program only runs
-full matches against the representatives of its own bucket, and buckets can
-be clustered concurrently.  The final clustering is *identical* to the
-exhaustive sequential one: clusters are merged deterministically in order
-of their first member's original index, and members keep their original
-relative order.
+full matches against the representatives of its own bucket.  The final
+clustering is *identical* to the exhaustive one (``prune=False``, kept as
+the test oracle): clusters are merged deterministically in order of their
+first member's original index, and members keep their original relative
+order.
 """
 
 from __future__ import annotations
 
 import hashlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -116,7 +115,7 @@ class Cluster:
     fingerprint_digest: str | None = None
     #: Runtime caches (never serialized, excluded from comparisons).  Lazily
     #: built, idempotent and derived purely from immutable inputs, so racing
-    #: rebuilds by batch workers are benign duplicate work.
+    #: rebuilds by service request threads are benign duplicate work.
     _pool_indexes: dict[tuple[int, str], list[PoolEntryIndex]] = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -244,8 +243,8 @@ class Cluster:
 
         Two clusters with equal signatures draw from identical expression
         pools; tests and benchmarks use this (via
-        :meth:`ClusteringResult.signature`) to assert that pruned, parallel
-        and persisted clusterings are *identical* to the exhaustive one.
+        :meth:`ClusteringResult.signature`) to assert that pruned and
+        persisted clusterings are *identical* to the exhaustive one.
         """
         return {
             key: [(str(entry.expr), entry.member_index) for entry in pool]
@@ -395,7 +394,6 @@ def cluster_programs(
     cases: Sequence[InputCase],
     *,
     prune: bool = True,
-    workers: int = 1,
     caches: "RepairCaches | None" = None,
     prefilter: bool = True,
 ) -> ClusteringResult:
@@ -413,11 +411,6 @@ def cluster_programs(
             attempt full matches within a program's own bucket.  The result
             is identical to the exhaustive ``prune=False`` path; the
             exhaustive path exists for cross-checking and measurement.
-        workers: Worker threads for clustering fingerprint buckets
-            concurrently.  Buckets are independent (programs in different
-            buckets can never match) and the merge is deterministic, so the
-            result does not depend on ``workers``.  Ignored when ``prune``
-            is off (there is a single bucket).
         caches: Optional :class:`repro.engine.cache.RepairCaches` through
             which program executions are routed, so a solution that also
             appears elsewhere in a batch is traced once.
@@ -428,8 +421,6 @@ def cluster_programs(
             shrinks.  ``prefilter=False`` restores the creation-order scan
             for measurement.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     stats = ClusteringStats()
     failures: list[tuple[int, str]] = []
 
@@ -465,21 +456,10 @@ def cluster_programs(
             buckets[None] = executed
             digests[None] = None
 
-    if workers == 1 or len(buckets) <= 1:
-        bucket_results = [
-            _cluster_bucket(items, cases, shared_skeleton=prune, prefilter=prefilter)
-            for items in buckets.values()
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            bucket_results = list(
-                pool.map(
-                    lambda items: _cluster_bucket(
-                        items, cases, shared_skeleton=prune, prefilter=prefilter
-                    ),
-                    buckets.values(),
-                )
-            )
+    bucket_results = [
+        _cluster_bucket(items, cases, shared_skeleton=prune, prefilter=prefilter)
+        for items in buckets.values()
+    ]
 
     # Deterministic merge: order clusters by first member's original index —
     # exactly the creation order of the exhaustive sequential loop.

@@ -15,9 +15,10 @@ through which all correctness checks and structural matches are routed, so
 repeated work — the same attempt resubmitted, the same (attempt, cluster)
 pair matched by the gate check and again by the search — is computed once.
 Single-attempt repair is the batch-size-1 case of
-:class:`repro.engine.batch.BatchRepairEngine`; to repair a whole corpus
-concurrently, hand the configured ``Clara`` to an engine instead of looping
-over ``repair_source``.
+:class:`repro.engine.batch.BatchRepairEngine`; to repair a whole corpus,
+hand the configured ``Clara`` to an engine instead of looping over
+``repair_source`` (or shard a stored corpus across processes with
+:class:`repro.engine.parallel.ProcessBatchEngine`).
 """
 
 from __future__ import annotations
@@ -105,15 +106,6 @@ class Clara:
             whole cluster (the ablation of §2.1's "diversity of repairs").
         generic_threshold: Cost above which feedback becomes a generic
             strategy message.
-        cluster_fingerprint_pruning: When ``True`` (default), clustering
-            indexes existing clusters by matching-invariant fingerprint and
-            only runs the full dynamic match within a program's own bucket
-            (:mod:`repro.clusterstore.fingerprint`); the resulting clusters
-            are identical to the exhaustive path, which remains available
-            for measurement.
-        cluster_workers: Worker threads used to cluster fingerprint buckets
-            concurrently when building clusters (the result is independent
-            of this setting).
         retrieval_prefilter: Rank candidate clusters nearest-first by
             deterministic feature vector (:mod:`repro.retrieval`) before
             the expensive exact procedures — full dynamic matching at
@@ -123,22 +115,27 @@ class Clara:
             field-identical with the prefilter on or off
             (``tests/test_retrieval_differential.py``); only the match
             counters change.  ``False`` (the ``--no-prefilter`` escape
-            hatch) restores the unranked scans.
-        retrieval_top_k: Size of the nearest-first head the structural
-            gate probes before falling back to the remaining candidates in
-            original order (counted under ``retrieval.fallbacks``).
+            hatch) restores the unranked scans.  The gate probes the
+            :data:`repro.retrieval.DEFAULT_TOP_K` nearest candidates first,
+            then the rest in original order (a match found there counts
+            under ``retrieval.fallbacks``).
         caches: Shared memoization of traces, matches and repairs
             (:class:`repro.engine.cache.RepairCaches`).  Defaults to a fresh
             enabled instance; pass ``RepairCaches(enabled=False)`` to measure
             uncached baselines.
 
+    Clustering always indexes existing clusters by matching-invariant
+    fingerprint and only runs the full dynamic match within a program's own
+    bucket (:mod:`repro.clusterstore.fingerprint`); the result is identical
+    to the exhaustive ``cluster_programs(prune=False)`` oracle.
+
     Thread safety: build the pipeline — ``add_correct_sources`` /
     ``load_clusters`` — from a single thread, then repair from as many
     threads as you like: the cluster list is treated as read-only during
     repair and every mutable lookup goes through the lock-guarded caches.
-    That split is exactly how :class:`repro.engine.batch.BatchRepairEngine`
-    (worker threads) and :class:`repro.service.RepairService` (one warm
-    pipeline per problem, swapped whole on hot reload) use it.
+    That split is exactly how :class:`repro.service.RepairService` uses it
+    (one warm pipeline per problem, repaired from its request threads and
+    swapped whole on hot reload).
     """
 
     cases: Sequence[InputCase]
@@ -148,10 +145,7 @@ class Clara:
     timeout: float | None = None
     use_cluster_expressions: bool = True
     generic_threshold: float = GENERIC_FEEDBACK_THRESHOLD
-    cluster_fingerprint_pruning: bool = True
-    cluster_workers: int = 1
     retrieval_prefilter: bool = True
-    retrieval_top_k: int = DEFAULT_TOP_K
     clusters: list[Cluster] = field(default_factory=list)
     clustering_failures: list[tuple[int, str]] = field(default_factory=list)
     caches: "RepairCaches | None" = None
@@ -207,8 +201,6 @@ class Clara:
         result = cluster_programs(
             programs,
             self.cases,
-            prune=self.cluster_fingerprint_pruning,
-            workers=self.cluster_workers,
             caches=self.caches,
             prefilter=self.retrieval_prefilter,
         )
@@ -340,7 +332,7 @@ StoredClustering`.
         identical to an eager :meth:`load_clusters`, minus the I/O for
         segments no attempt ever matches.  Representatives are executed on
         this pipeline's cases at page-in time, through the shared caches,
-        under the pager's lock (so concurrent repair workers each see fully
+        under the pager's lock (so concurrent repair threads each see fully
         initialized clusters).
 
         Mutually exclusive with the eager cluster list: attaching to a
@@ -482,7 +474,7 @@ StoredClustering`.
                 matches_skipped=skeleton_skipped + (len(gate_order) - attempted),
                 # The match sat beyond the top-k head: the exact-fallback
                 # tail caught it, exactly as the soundness argument requires.
-                fallbacks=1 if matched and attempted > self.retrieval_top_k else 0,
+                fallbacks=1 if matched and attempted > DEFAULT_TOP_K else 0,
             )
         if not matched:
             return RepairOutcome(
@@ -589,7 +581,7 @@ StoredClustering`.
             feature_vector(program),
             survivors,
             vector_of,
-            top_k=self.retrieval_top_k,
+            top_k=DEFAULT_TOP_K,
         )
         return gate_order, survivors, True, skipped
 
@@ -625,13 +617,13 @@ StoredClustering`.
         """Parse and repair one incorrect attempt from source text.
 
         Single-attempt repair is the batch-size-1 case of the engine: this
-        delegates to :class:`repro.engine.batch.BatchRepairEngine` with one
-        inline worker, so it shares the exact code path (budgets, caching,
-        accounting) that corpus runs use.
+        delegates to :class:`repro.engine.batch.BatchRepairEngine`, so it
+        shares the exact code path (budgets, caching, accounting) that corpus
+        runs use.
         """
         from ..engine.batch import BatchRepairEngine
 
-        engine = BatchRepairEngine(self, workers=1, budget=budget)
+        engine = BatchRepairEngine(self, budget=budget)
         return engine.run([source]).outcomes[0]
 
     def _repair_attempt(

@@ -6,7 +6,7 @@ this package scales it to corpora.  It contributes two pieces:
 * :mod:`repro.engine.cache` — :class:`RepairCaches`, the shared memoization
   of traces, correctness checks, structural matches and whole repairs;
 * :mod:`repro.engine.batch` — :class:`BatchRepairEngine` and
-  :class:`BatchReport`, concurrent repair of many attempts with per-attempt
+  :class:`BatchReport`, in-process repair of many attempts with per-attempt
   budgets and aggregate statistics;
 * :mod:`repro.engine.parallel` — :class:`ProcessBatchEngine`, the
   multi-core path: skeleton-aligned shards repaired by

@@ -3,25 +3,23 @@
 The paper evaluates Clara one attempt at a time; real deployments (the tool
 ran on MITx/edX dumps with thousands of submissions, §6.1) need to chew
 through whole corpora.  :class:`BatchRepairEngine` wraps a configured
-:class:`repro.core.pipeline.Clara` and repairs many attempts through a
-``concurrent.futures`` thread pool, sharing the pipeline's
-:class:`repro.engine.cache.RepairCaches` between workers so that duplicate
-attempts — the common case in MOOC data — are parsed, executed, matched and
-repaired once.
+:class:`repro.core.pipeline.Clara` and repairs many attempts in order on the
+calling thread, through the pipeline's
+:class:`repro.engine.cache.RepairCaches`, so that duplicate attempts — the
+common case in MOOC data — are parsed, executed, matched and repaired once.
 
 Results are returned as a :class:`BatchReport`: per-attempt
-:class:`BatchRecord` rows in submission order (independent of worker
-scheduling) plus aggregate statistics — status histogram, latency
-percentiles, throughput, and cache hit rates.  The report serialises to
-JSONL for downstream analysis (see the ``batch`` subcommand of
-:mod:`repro.cli`).
+:class:`BatchRecord` rows in submission order plus aggregate statistics —
+status histogram, latency percentiles, throughput, and cache hit rates.
+The report serialises to JSONL for downstream analysis (see the ``batch``
+subcommand of :mod:`repro.cli`).
 
 Single-attempt repair is the batch-size-1 case:
 ``Clara.repair_source(src)`` simply runs an engine over ``[src]``.
 
-For multi-core corpus runs, :mod:`repro.engine.parallel` shards a batch
-across worker *processes* (each wrapping this engine single-threaded) and
-merges the per-shard reports back into one :class:`BatchReport`.
+Processes are the only parallelism: :mod:`repro.engine.parallel` shards a
+batch across worker *processes* (each wrapping this engine) and merges the
+per-shard reports back into one :class:`BatchReport`.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable
@@ -40,9 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..core.pipeline import Clara, RepairOutcome
 
 __all__ = ["BatchAttempt", "BatchRecord", "BatchReport", "BatchRepairEngine"]
-
-#: Default number of worker threads.
-DEFAULT_WORKERS = 4
 
 
 @dataclass(frozen=True)
@@ -95,7 +89,7 @@ class BatchReport:
             (kept for callers that need the repaired programs or feedback
             objects; they are omitted from the JSONL serialisation).
         wall_time: End-to-end wall-clock duration of the run, in seconds.
-        workers: Worker-thread count the batch ran with.
+        workers: Worker processes the batch ran on (1 for an in-process run).
         cache_stats: Snapshot of the cache counters accumulated *during*
             this run (pre-existing counts are subtracted out).
     """
@@ -182,34 +176,28 @@ class BatchReport:
 
 
 class BatchRepairEngine:
-    """Repair a corpus of attempts concurrently against one pipeline.
+    """Repair a corpus of attempts, one after another, against one pipeline.
 
     Args:
         clara: A configured pipeline whose clusters are already built via
-            ``add_correct_sources``.  Its caches are shared across workers;
-            its clusters are treated as read-only for the duration of a run.
-        workers: Worker-thread count.  ``1`` runs inline on the calling
-            thread (no pool), which is what ``Clara.repair_source`` uses.
+            ``add_correct_sources`` (or attached from a store).  Its clusters
+            are treated as read-only for the duration of a run.
+        workers: Accepted for compatibility and must be ``1``: the engine
+            repairs on the calling thread.  Multi-core runs are
+            :class:`repro.engine.parallel.ProcessBatchEngine`
+            (``from_store(..., processes=N)``, ``batch --processes N``).
         budget: Per-attempt wall-clock budget in seconds, overriding the
             pipeline's ``timeout`` when given.  Attempts exceeding it are
             reported with status ``timeout``.
 
-    The worker pool is made of *threads sharing one pipeline*: every worker
-    sees the same cluster state and the same :class:`RepairCaches`, which is
-    what deduplicates MOOC-shaped corpora (and what the resident service
-    relies on for warm duplicate hits).  The repair hot path is pure Python
-    and releases no GIL, so threads buy cache sharing and I/O-free
-    scheduling — not CPU parallelism.  To put more *cores* on a corpus, use
-    :class:`repro.engine.parallel.ProcessBatchEngine` (``batch --processes
-    N``): it shards the corpus across forked worker processes, each running
-    this engine single-threaded over shared-nothing caches, and merges the
-    per-shard reports and counters deterministically.
-
     Thread safety: :meth:`run` may be called repeatedly (each call snapshots
     cache counters independently), and several engines may share one
-    ``Clara``; what must not happen concurrently is mutating the pipeline's
-    clusters (``add_correct_sources``/``load_clusters``) while a run is in
-    flight — the service layer swaps in a whole new engine instead
+    ``Clara`` from different threads — the resident service runs one
+    single-attempt ``run`` per request thread, and the caches' single-flight
+    locks deduplicate concurrent duplicates.  What must not happen
+    concurrently is mutating the pipeline's clusters
+    (``add_correct_sources``/``load_clusters``) while a run is in flight —
+    the service layer swaps in a whole new engine instead
     (:meth:`repro.service.service.ProblemRuntime.reload`).
     """
 
@@ -217,13 +205,11 @@ class BatchRepairEngine:
         self,
         clara: "Clara",
         *,
-        workers: int = DEFAULT_WORKERS,
+        workers: int = 1,
         budget: float | None = None,
     ) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+        _check_workers(workers)
         self.clara = clara
-        self.workers = workers
         self.budget = budget
 
     @classmethod
@@ -232,38 +218,32 @@ class BatchRepairEngine:
         clusters_path: str | Path,
         clara: "Clara",
         *,
-        workers: int = DEFAULT_WORKERS,
+        workers: int = 1,
         budget: float | None = None,
-        lazy: bool = True,
         processes: int = 1,
     ) -> "BatchRepairEngine":
         """Build an engine from a persisted cluster store.
 
-        Attaches ``clusters_path`` to ``clara`` (validating format version,
-        case signature and language) and wraps it.  This is the "index once,
-        query many" entry point: every batch worker process of a deployment
-        opens the same store instead of re-clustering the correct pool on
-        start-up.
-
-        By default the store is opened **header-only** and segments page in
-        on demand as attempts are repaired
-        (:meth:`repro.core.pipeline.Clara.attach_lazy_clusters`); outcomes
-        are identical to an eager load — skeleton-mismatched segments
-        provably contain no repair candidate — and the paging counters show
-        up in ``batch --profile`` output.  Pass ``lazy=False`` to read every
-        segment up front (:meth:`repro.core.pipeline.Clara.load_clusters`).
+        Attaches ``clusters_path`` to ``clara`` header-only (validating
+        format version, case signature and language) and wraps it: segments
+        page in on demand as attempts are repaired
+        (:meth:`repro.core.pipeline.Clara.attach_lazy_clusters`), with
+        outcomes identical to an eager
+        :meth:`repro.core.pipeline.Clara.load_clusters` — skeleton-mismatched
+        segments provably contain no repair candidate — and the paging
+        counters show up in ``batch --profile`` output.  This is the "index
+        once, query many" entry point.
 
         With ``processes > 1`` this returns a
         :class:`repro.engine.parallel.ProcessBatchEngine` instead: the
         corpus is sharded across that many forked worker processes, each
-        opening the store header-only with its own warm caches and
-        repairing its shard single-threaded.  ``clara`` then only supplies
-        configuration (language check, prefilter settings, attached
-        profiler) — it is *not* attached to the store, and ``workers`` /
-        ``lazy`` are ignored (each worker process is single-threaded and
-        lazy by construction).  The store must name a registered problem,
-        as the workers rebuild their pipelines from the dataset registry.
+        opening the store header-only with its own warm caches.  ``clara``
+        then only supplies configuration (language check, prefilter
+        setting, attached profiler) — it is *not* attached to the store.
+        The store must name a registered problem, as the workers rebuild
+        their pipelines from the dataset registry.
         """
+        _check_workers(workers)
         if processes > 1:
             from .parallel import ProcessBatchEngine
 
@@ -273,16 +253,12 @@ class BatchRepairEngine:
                 budget=budget,
                 profile=clara.caches.profiler is not None,
                 retrieval_prefilter=clara.retrieval_prefilter,
-                retrieval_top_k=clara.retrieval_top_k,
                 language=clara.language,
             )
-        if lazy:
-            from ..clusterstore.store import open_lazy
+        from ..clusterstore.store import open_lazy
 
-            clara.attach_lazy_clusters(open_lazy(clusters_path, cases=clara.cases))
-        else:
-            clara.load_clusters(clusters_path)
-        return cls(clara, workers=workers, budget=budget)
+        clara.attach_lazy_clusters(open_lazy(clusters_path, cases=clara.cases))
+        return cls(clara, budget=budget)
 
     # -- public API --------------------------------------------------------------
 
@@ -296,8 +272,8 @@ class BatchRepairEngine:
 
         Accepts raw source strings (auto-numbered ``attempt-0``, ...) or
         :class:`BatchAttempt` objects.  Records are returned in submission
-        order regardless of completion order, and a batch of size 1 produces
-        byte-identical results to a sequential ``repair_source`` call.
+        order, and a batch of size 1 produces byte-identical results to a
+        sequential ``repair_source`` call.
 
         Args:
             attempts: The corpus to repair.
@@ -309,13 +285,7 @@ class BatchRepairEngine:
         effective_budget = self.budget if budget is None else budget
         before = self.clara.caches.stats.snapshot()
         started = time.perf_counter()
-        if self.workers == 1 or len(items) <= 1:
-            outcomes = [self._repair_one(item, effective_budget) for item in items]
-        else:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                outcomes = list(
-                    pool.map(lambda item: self._repair_one(item, effective_budget), items)
-                )
+        outcomes = [self._repair_one(item, effective_budget) for item in items]
         wall_time = time.perf_counter() - started
         after = self.clara.caches.stats.snapshot()
         return BatchReport(
@@ -324,7 +294,7 @@ class BatchRepairEngine:
             ],
             outcomes=outcomes,
             wall_time=wall_time,
-            workers=self.workers,
+            workers=1,
             cache_stats=after.diff(before),
         )
 
@@ -373,3 +343,11 @@ class BatchRepairEngine:
         if outcome.feedback is not None:
             record.feedback = [entry.message for entry in outcome.feedback.items]
         return record
+
+
+def _check_workers(workers: int) -> None:
+    if workers != 1:
+        raise ValueError(
+            f"workers={workers}: the in-process engine repairs on the calling "
+            "thread; for parallel repair use processes= (ProcessBatchEngine)"
+        )

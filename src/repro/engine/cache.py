@@ -35,8 +35,8 @@ via :func:`repro.ilp.solve_fast`).  All cache-routed executions run under
 the profiler's ``exec`` phase; solves run under ``ilp``.
 
 All tables are guarded by a single lock, making one :class:`RepairCaches`
-instance safe to share across the worker threads of
-:class:`repro.engine.batch.BatchRepairEngine`.  Constructing the caches with
+instance safe to share across the request threads of
+:class:`repro.service.RepairService`.  Constructing the caches with
 ``enabled=False`` turns every lookup into a miss without storing anything,
 which is how the uncached baseline of ``benchmarks/test_batch_throughput.py``
 is measured.
@@ -138,7 +138,7 @@ class RepairCaches:
             baselines and for callers that mutate programs in place.
 
     One instance is owned by each :class:`repro.core.pipeline.Clara` and is
-    shared by every worker thread of a batch run.  All public methods are
+    shared by every thread repairing through it.  All public methods are
     thread-safe.
     """
 
@@ -214,7 +214,7 @@ class RepairCaches:
             key = self._program_keys.get(program)
         if key is None:
             # Fingerprinting walks the whole program; doing it outside the
-            # lock keeps other workers from serializing on it.  A racing
+            # lock keeps other threads from serializing on it.  A racing
             # duplicate computation is benign: setdefault keeps one winner.
             key = program.structure_key()
             with self._lock:
@@ -372,7 +372,7 @@ class RepairCaches:
         share ``Repair``/``Feedback`` objects, which are treated as immutable
         after construction.
 
-        Lookups are *single-flight*: when worker threads hit the same key
+        Lookups are *single-flight*: when request threads hit the same key
         concurrently, one computes while the rest wait for its result, so a
         burst of identical submissions costs one ILP solve rather than one
         per worker.  If the computing thread raises (or declines to store),

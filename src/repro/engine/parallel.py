@@ -1,9 +1,8 @@
 """Process-parallel batch repair with deterministic counter merging.
 
-:class:`repro.engine.batch.BatchRepairEngine` scales a corpus across
-*threads*, which share one pipeline's caches but — the repair hot path
-being pure Python that releases no GIL — never more than one core.
-:class:`ProcessBatchEngine` is the multi-core path behind ``batch
+:class:`repro.engine.batch.BatchRepairEngine` repairs a corpus on the
+calling thread, so on one core.  :class:`ProcessBatchEngine` is the
+multi-core path — processes are the only parallelism — behind ``batch
 --processes N``: it shards a corpus across N worker processes, each
 running :func:`repro.engine.worker.run_shard`, which opens the cluster
 store header-only with its own shared-nothing
@@ -78,7 +77,7 @@ from ..core.profile import PHASE_REPORT
 from ..counters import OpenCounters, fold
 from ..ilp.fastpath import SolveCounters
 from ..interpreter.compile import CompileCounters
-from ..retrieval.index import DEFAULT_TOP_K, RetrievalStats
+from ..retrieval.index import RetrievalStats
 from ..ted.zhang_shasha import TedCounters
 from .batch import BatchAttempt, BatchRecord, BatchRepairEngine, BatchReport
 from .cache import CacheStats
@@ -253,8 +252,8 @@ class ProcessBatchEngine:
         budget: Per-attempt wall-clock budget forwarded to every worker.
         profile: Attach a :class:`~repro.core.profile.PhaseProfiler` in
             every worker and merge the payloads (``batch --profile``).
-        retrieval_prefilter / retrieval_top_k: Forwarded pipeline
-            configuration (:class:`repro.core.pipeline.Clara`).
+        retrieval_prefilter: Forwarded pipeline configuration
+            (:class:`repro.core.pipeline.Clara`).
         language: When given, validated against the store header up front
             so a mismatch fails in the parent, not N times in workers.
 
@@ -283,7 +282,6 @@ class ProcessBatchEngine:
         budget: float | None = None,
         profile: bool = False,
         retrieval_prefilter: bool = True,
-        retrieval_top_k: int = DEFAULT_TOP_K,
         language: str | None = None,
     ) -> None:
         if processes < 1:
@@ -304,7 +302,6 @@ class ProcessBatchEngine:
         self.budget = budget
         self.profile = profile
         self.retrieval_prefilter = retrieval_prefilter
-        self.retrieval_top_k = retrieval_top_k
 
     # -- public API --------------------------------------------------------------
 
@@ -361,7 +358,6 @@ class ProcessBatchEngine:
                 ),
                 kwargs=dict(
                     budget=effective_budget,
-                    top_k=self.retrieval_top_k,
                     profile=self.profile,
                     prefilter=self.retrieval_prefilter,
                     crash_after=crash_after if shard_index == crash_shard else None,

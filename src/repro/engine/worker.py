@@ -48,7 +48,6 @@ def run_shard(
     attempts: list[tuple[int, str, str]],
     *,
     budget: float | None,
-    top_k: int,
     profile: bool,
     prefilter: bool,
     crash_after: int | None,
@@ -69,10 +68,9 @@ def run_shard(
             language=spec.language,
             entry=spec.entry,
             retrieval_prefilter=prefilter,
-            retrieval_top_k=top_k,
             caches=RepairCaches(profiler=PhaseProfiler() if profile else None),
         )
-        engine = BatchRepairEngine.from_store(store, clara, workers=1, budget=budget)
+        engine = BatchRepairEngine.from_store(store, clara, budget=budget)
         cache_total = CacheStats()
         for emitted, (index, attempt_id, source) in enumerate(attempts, start=1):
             report = engine.run([BatchAttempt(attempt_id=attempt_id, source=source)])

@@ -67,7 +67,7 @@ class SolveCache:
 
     One instance is owned by :class:`repro.engine.cache.RepairCaches`
     (created in its ``__post_init__`` alongside the TED and compile caches)
-    and shared by every batch worker; all methods are lock-guarded.
+    and shared by every repairing thread; all methods are lock-guarded.
     ``enabled=False`` turns every lookup into a miss (nothing is stored)
     while the counters keep counting, mirroring
     :class:`repro.ted.TedCache` — that is how the differential tests and

@@ -199,7 +199,7 @@ class CompileCache:
 
     One instance is owned by :class:`repro.engine.cache.RepairCaches`
     (sharing its ``enabled`` flag, so uncached baselines also measure
-    uncached compilation) and shared by every batch worker; a module-level
+    uncached compilation) and shared by every repairing thread; a module-level
     default (:func:`default_compile_cache`) serves the executor and other
     direct callers.  Keys are expressions themselves — they hash by cached
     structural hash — so interned expressions resolve in O(1) and even
@@ -223,7 +223,7 @@ class CompileCache:
     workers racing on the same uncompiled expression may both count a miss
     and compile twice (one result is discarded).  As with the other cache
     counters, exact counter values are therefore only deterministic for
-    single-worker runs, which is what the committed benchmark artifacts
+    single-threaded runs, which is what the committed benchmark artifacts
     use.
 
     The table is size-bounded like the other fast-path memos: at

@@ -350,7 +350,7 @@ class Op(Expr):
 #: so the table stays small in practice; :data:`MAX_INTERN_ENTRIES` bounds
 #: it anyway so a long-lived engine crossing many corpora cannot grow it
 #: forever.  ``dict.setdefault`` keeps the table safe under concurrent
-#: interning from batch workers (one winner per key).
+#: interning from service request threads (one winner per key).
 _INTERN_TABLE: dict[tuple, Expr] = {}
 
 #: Flush threshold for the intern table.  Flushing only costs identity

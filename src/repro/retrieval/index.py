@@ -103,7 +103,7 @@ class RetrievalStats(Counters):
             top-k head and the exact-fallback tail found it.
 
     All counters are per-process totals guarded by the instance lock, so
-    one instance is safe to share across batch worker threads; for a fixed
+    one instance is safe to share across service request threads; for a fixed
     sequence of repairs the values are independent of thread scheduling
     (each attempt contributes a fixed amount, added atomically with
     :meth:`~repro.counters.Counters.record`).

@@ -147,7 +147,7 @@ class ProblemRuntime:
             clara.attach_lazy_clusters(source)
             self._state = _ProblemState(
                 revision=source.revision,
-                engine=BatchRepairEngine(clara, workers=1),
+                engine=BatchRepairEngine(clara),
             )
             # The replaced pipeline's repair memos are unreachable from now
             # on (new identity token); evict them so a daemon reloading per
@@ -274,7 +274,7 @@ class RepairService:
             language=language,
             entry=entry,
             state=_ProblemState(
-                revision=stored.revision, engine=BatchRepairEngine(clara, workers=1)
+                revision=stored.revision, engine=BatchRepairEngine(clara)
             ),
             clara=clara,
         )

@@ -168,7 +168,7 @@ class TedCache:
     """Memoization and counters for expression edit distances.
 
     One instance is owned by :class:`repro.engine.cache.RepairCaches` and
-    shared by every batch worker; a module-level default serves direct
+    shared by every repairing thread; a module-level default serves direct
     :func:`expr_edit_distance` calls.  ``enabled=False`` turns every lookup
     into a miss (nothing is stored) while the counters keep counting, which
     is how the unpruned baseline of ``benchmarks/test_repair_throughput.py``

@@ -42,6 +42,26 @@ def test_cli_repair_command(tmp_path, capsys):
     assert "change" in output or "Add" in output
 
 
+def test_cli_repair_rejects_unknown_problem(tmp_path, capsys):
+    attempt = tmp_path / "a.py"
+    attempt.write_text("def computeDeriv(poly):\n    return poly\n")
+    assert main(["repair", "--problem", "nope", "--file", str(attempt)]) == 2
+    err = capsys.readouterr().err
+    assert "unknown problem 'nope'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("content", [None, b"def computeDeriv(poly):\n    # caf\xe9\n"])
+def test_cli_repair_rejects_unreadable_file(tmp_path, capsys, content):
+    path = tmp_path / "attempt.py"  # missing, or not UTF-8
+    if content is not None:
+        path.write_bytes(content)
+    assert main(["repair", "--problem", "derivatives", "--file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read attempt {path}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_cli_batch_command(tmp_path, capsys):
     import json
 
@@ -58,8 +78,6 @@ def test_cli_batch_command(tmp_path, capsys):
     attempts.mkdir()
     (attempts / "alice.py").write_text(broken)
     (attempts / "bob.py").write_text(broken)  # duplicate submission
-    # A third duplicate guarantees a trace-cache hit even when the first two
-    # race on the 2-worker pool and both miss concurrently.
     (attempts / "carol.py").write_text(broken)
     report_path = tmp_path / "report.jsonl"
 
@@ -72,8 +90,6 @@ def test_cli_batch_command(tmp_path, capsys):
             str(attempts),
             "--correct",
             "6",
-            "--workers",
-            "2",
             "--output",
             str(report_path),
         ]
@@ -206,8 +222,6 @@ def test_cli_batch_profile_writes_phase_breakdown(tmp_path, capsys, monkeypatch)
             str(attempts),
             "--correct",
             "6",
-            "--workers",
-            "1",
             "--output",
             str(report_path),
             "--profile",

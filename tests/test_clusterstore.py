@@ -88,17 +88,6 @@ def test_pruned_clustering_identical_to_exhaustive(problem_name):
         assert pruned.stats.full_matches < exhaustive.stats.full_matches
 
 
-def test_parallel_cluster_build_is_deterministic():
-    problem = get_problem("derivatives")
-    corpus = generate_corpus(problem, 14, 0, seed=3)
-
-    def build(workers):
-        programs = [parse_python_source(s) for s in corpus.correct_sources]
-        return cluster_programs(programs, problem.cases, workers=workers)
-
-    assert build(1).signature() == build(4).signature()
-
-
 # -- serialization --------------------------------------------------------------------
 
 
@@ -150,10 +139,10 @@ def test_save_load_round_trip_preserves_repair_outcomes(deriv_setup, tmp_path):
     problem, corpus, clara = deriv_setup
     store_path = clara.save_clusters(tmp_path / "clusters.json", problem=problem.name)
 
-    direct = BatchRepairEngine(clara, workers=1).run(corpus.incorrect_sources)
+    direct = BatchRepairEngine(clara).run(corpus.incorrect_sources)
 
     fresh = Clara(cases=problem.cases)
-    loaded_engine = BatchRepairEngine.from_store(store_path, fresh, workers=1)
+    loaded_engine = BatchRepairEngine.from_store(store_path, fresh)
     loaded = loaded_engine.run(corpus.incorrect_sources)
 
     assert fresh.cluster_count == clara.cluster_count
@@ -300,8 +289,6 @@ def test_cli_cluster_build_info_batch_round_trip(tmp_path, capsys):
                 str(attempts),
                 "--clusters",
                 str(store),
-                "--workers",
-                "1",
                 "--output",
                 str(report),
             ]
@@ -461,10 +448,10 @@ def test_pre_retrieval_store_serves_identically_with_fallback_counted(
     path = clara.save_clusters(tmp_path / "clusters.json", problem=problem.name)
     _strip_retrieval(path)
 
-    baseline = BatchRepairEngine(clara, workers=1).run(corpus.incorrect_sources)
+    baseline = BatchRepairEngine(clara).run(corpus.incorrect_sources)
 
     fresh = Clara(cases=problem.cases)
-    degraded = BatchRepairEngine.from_store(path, fresh, workers=1).run(
+    degraded = BatchRepairEngine.from_store(path, fresh).run(
         corpus.incorrect_sources
     )
     assert [_outcome_key(r) for r in degraded.records] == [

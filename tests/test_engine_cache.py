@@ -3,6 +3,8 @@ with the sequential pipeline."""
 
 from __future__ import annotations
 
+import pytest
+
 from repro import Clara, InputCase, parse_source
 from repro.engine import BatchAttempt, BatchRepairEngine, RepairCaches
 from repro.engine.cache import case_set_key, freeze_key
@@ -152,7 +154,7 @@ def test_batch_results_identical_to_sequential(deriv_cases, paper_sources):
 
     batched = Clara(deriv_cases)
     batched.add_correct_sources(correct)
-    report = BatchRepairEngine(batched, workers=4).run(attempts)
+    report = BatchRepairEngine(batched).run(attempts)
 
     assert [o.status for o in sequential] == [r.status for r in report.records]
     for seq, record in zip(sequential, report.records):
@@ -171,16 +173,42 @@ def test_batch_results_identical_to_sequential(deriv_cases, paper_sources):
 
 
 def test_batch_single_flight_dedupes_concurrent_duplicates(deriv_cases, paper_sources):
+    import threading
+
+    # The service's pattern: request threads each run a one-attempt batch
+    # through one shared pipeline.
     clara = Clara(deriv_cases)
     clara.add_correct_sources([paper_sources["C1"], paper_sources["C2"]])
-    report = BatchRepairEngine(clara, workers=4).run([paper_sources["I1"]] * 8)
+    engine = BatchRepairEngine(clara)
+    start = threading.Barrier(8)
+    records = []
 
-    statuses = {record.status for record in report.records}
-    assert statuses == {"repaired"}
+    def request():
+        start.wait(timeout=60)
+        records.extend(engine.run([paper_sources["I1"]]).records)
+
+    before = clara.caches.stats.snapshot()
+    threads = [threading.Thread(target=request) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    delta = clara.caches.stats.snapshot().diff(before)
+
+    assert [record.status for record in records] == ["repaired"] * 8
     # Exactly one ILP solve; the other seven attempts reuse it (possibly
     # after waiting on the in-flight computation).
-    assert report.cache_stats.repair_misses == 1
-    assert report.cache_stats.repair_hits == 7
+    assert delta.repair_misses == 1
+    assert delta.repair_hits == 7
+
+
+def test_batch_engine_rejects_thread_workers(deriv_cases, tmp_path):
+    clara = Clara(deriv_cases)
+    with pytest.raises(ValueError, match="processes="):
+        BatchRepairEngine(clara, workers=4)
+    with pytest.raises(ValueError, match="processes="):
+        BatchRepairEngine.from_store(tmp_path / "store.json", clara, workers=2)
 
 
 def test_batch_preserves_submission_order_and_ids(deriv_cases, paper_sources):
@@ -190,7 +218,7 @@ def test_batch_preserves_submission_order_and_ids(deriv_cases, paper_sources):
         BatchAttempt("zz-last", paper_sources["I1"]),
         BatchAttempt("aa-first", paper_sources["I2"]),
     ]
-    report = BatchRepairEngine(clara, workers=2).run(attempts)
+    report = BatchRepairEngine(clara).run(attempts)
     assert [record.attempt_id for record in report.records] == ["zz-last", "aa-first"]
 
 
@@ -199,7 +227,7 @@ def test_batch_report_serialises_to_jsonl(tmp_path, deriv_cases, paper_sources):
 
     clara = Clara(deriv_cases)
     clara.add_correct_sources([paper_sources["C1"]])
-    report = BatchRepairEngine(clara, workers=1).run([paper_sources["I1"]])
+    report = BatchRepairEngine(clara).run([paper_sources["I1"]])
     path = report.write_jsonl(tmp_path / "report.jsonl")
 
     lines = [json.loads(line) for line in path.read_text().splitlines()]
@@ -267,7 +295,5 @@ def test_timeout_outcomes_are_not_memoized(deriv_cases, paper_sources):
 def test_batch_budget_produces_timeout_status(deriv_cases, paper_sources):
     clara = Clara(deriv_cases)
     clara.add_correct_sources([paper_sources["C1"], paper_sources["C2"]])
-    report = BatchRepairEngine(clara, workers=1, budget=0.0).run(
-        [paper_sources["I1"]]
-    )
+    report = BatchRepairEngine(clara, budget=0.0).run([paper_sources["I1"]])
     assert report.records[0].status == "timeout"

@@ -367,7 +367,7 @@ class TestEngineCrashIsolation:
             return original(source, budget=budget)
 
         clara._repair_attempt = explode_once
-        engine = BatchRepairEngine(clara, workers=1)
+        engine = BatchRepairEngine(clara)
         report = engine.run(
             [
                 BatchAttempt(attempt_id="boom", source=corpora["derivatives"].incorrect_sources[0]),

@@ -96,36 +96,28 @@ def store(tmp_path_factory):
 
 
 def _single_process_run(problem, path, attempts):
-    """The baseline: one in-process engine, one thread, profiler attached."""
+    """The baseline: one in-process engine, profiler attached."""
     clara = Clara(
         cases=problem.cases,
         language=problem.language,
         entry=problem.entry,
         caches=RepairCaches(profiler=PhaseProfiler()),
     )
-    engine = BatchRepairEngine.from_store(path, clara, workers=1)
+    engine = BatchRepairEngine.from_store(path, clara)
     report = engine.run(attempts)
     return report, clara.counters_payload()
 
 
-# -- differential: process engine vs in-process engines ------------------------------
+# -- differential: process engine vs the in-process engine ---------------------------
 
 
-def test_process_report_matches_sequential_and_threaded(store):
+def test_process_report_matches_sequential(store):
     problem, path, attempts = store
     baseline, _ = _single_process_run(problem, path, attempts)
-
-    threaded_clara = Clara(
-        cases=problem.cases, language=problem.language, entry=problem.entry
-    )
-    threaded = BatchRepairEngine.from_store(path, threaded_clara, workers=2).run(
-        attempts
-    )
 
     process_report = ProcessBatchEngine(path, processes=2).run(attempts)
 
     assert report_rows(process_report) == report_rows(baseline)
-    assert report_rows(process_report) == report_rows(threaded)
     assert [r.attempt_id for r in process_report.records] == [
         a.attempt_id for a in attempts
     ]

@@ -178,7 +178,7 @@ def test_section_table_covers_a_real_counters_payload(tmp_path):
         entry=problem.entry,
         caches=RepairCaches(profiler=PhaseProfiler()),
     )
-    engine = BatchRepairEngine.from_store(path, clara, workers=1)
+    engine = BatchRepairEngine.from_store(path, clara)
     report = engine.run([BatchAttempt("a", source) for source in corpus.incorrect_sources])
     payload = clara.counters_payload()
     assert set(payload) | {"cache"} == {section.name for section in COUNTER_SECTIONS}

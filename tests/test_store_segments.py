@@ -122,7 +122,7 @@ def test_open_lazy_reads_only_the_header(store_path):
 
 def test_repairing_one_attempt_pages_only_its_skeleton_segment(spec, store_path):
     clara = _fresh(spec)
-    engine = BatchRepairEngine.from_store(store_path, clara, workers=1)
+    engine = BatchRepairEngine.from_store(store_path, clara)
     assert clara.store_paging()["segments_loaded"] == 0
 
     record = engine.run([TWO_LOOP_BROKEN]).records[0]
@@ -137,7 +137,7 @@ def test_repairing_one_attempt_pages_only_its_skeleton_segment(spec, store_path)
 
 def test_family_attempt_skips_the_two_loop_segment(spec, store_path):
     clara = _fresh(spec)
-    engine = BatchRepairEngine.from_store(store_path, clara, workers=1)
+    engine = BatchRepairEngine.from_store(store_path, clara)
     record = engine.run([FAMILY_ATTEMPT]).records[0]
     assert record.status == "repaired"
     counters = clara.store_paging()
@@ -149,8 +149,10 @@ def test_lazy_and_eager_loads_repair_identically(spec, corpus, store_path):
     def rows(engine):
         return report_rows(engine.run(list(corpus.incorrect_sources) + [TWO_LOOP_BROKEN]))
 
-    lazy = BatchRepairEngine.from_store(store_path, _fresh(spec), workers=1)
-    eager = BatchRepairEngine.from_store(store_path, _fresh(spec), workers=1, lazy=False)
+    lazy = BatchRepairEngine.from_store(store_path, _fresh(spec))
+    eager_clara = _fresh(spec)
+    eager_clara.load_clusters(store_path)
+    eager = BatchRepairEngine(eager_clara)
     assert rows(lazy) == rows(eager)
     assert eager.clara.store_paging() is None  # eager pipelines have no pager
 

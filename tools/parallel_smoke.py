@@ -4,7 +4,7 @@
 Drives the real CLI end to end (the same entry points an operator uses):
 
 1. ``cluster build`` a small derivatives store;
-2. ``batch --processes 1 --workers 1 --profile`` over a smoke corpus that
+2. ``batch --processes 1 --profile`` over a smoke corpus that
    spans two CFG-skeleton families plus a duplicate and a non-ASCII
    attempt;
 3. ``batch --processes 2 --profile`` over the same corpus;
@@ -114,7 +114,6 @@ def main() -> int:
                 "--problem", "derivatives",
                 "--attempts", str(attempts),
                 "--clusters", str(store),
-                "--workers", "1",
                 "--processes", str(processes),
                 "--profile",
                 "--output", str(report_path),
